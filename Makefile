@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-parallel bench-check experiments examples fmt vet clean check fuzz-smoke cover verify obs-smoke shard-smoke privtreed-smoke
+.PHONY: all build test race stress bench bench-parallel bench-check experiments examples fmt vet clean check fuzz-smoke cover verify obs-smoke shard-smoke privtreed-smoke
 
 all: build test
 
@@ -47,6 +47,15 @@ build:
 race:
 	$(GO) test -race ./...
 
+# Concurrency stress: the tests that share state across goroutines —
+# concurrent store and server tests, the sharded builder, the grouping
+# scratch and the differential battery — under the race detector, 20
+# times at 1, 2 and 4 procs, so a flaky interleaving surfaces before
+# merge. The sharded-builder package alone takes longer than go
+# test's default 10-minute timeout this way (~23 min in all, 2 cores).
+stress:
+	$(GO) test -race -count=20 -cpu 1,2,4 -timeout 60m -run 'Concurrent|BuildSharded|GroupClasses|Differential' ./...
+
 bench:
 	$(GO) test -run xxx -bench=. -benchmem ./...
 
@@ -75,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run FuzzReadBinaryShard -fuzz FuzzReadBinaryShard -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run FuzzGuarantee -fuzz FuzzGuarantee -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/runs -run FuzzGroupClasses -fuzz FuzzGroupClasses -fuzztime $(FUZZTIME)
 
 # Coverage profile + per-package floor on the correctness-critical
 # packages (see scripts/coverage.sh).

@@ -122,11 +122,12 @@ func (s *ProjScratch) sort() {
 	s.sortRadix(minL, maxL-minL+1)
 }
 
-// orderedBits maps a float64 to a uint64 whose unsigned order matches
+// OrderedBits maps a float64 to a uint64 whose unsigned order matches
 // the float order: flip all bits of negatives, flip the sign bit of
 // non-negatives. Negative zero folds onto positive zero so the bit
-// order agrees with the comparison order (-0.0 == +0.0 under <).
-func orderedBits(v float64) uint64 {
+// order agrees with the comparison order (-0.0 == +0.0 under <), and
+// key equality is float equality for every non-NaN value.
+func OrderedBits(v float64) uint64 {
 	if v == 0 {
 		v = 0 // fold -0.0 onto +0.0
 	}
@@ -178,7 +179,7 @@ func (s *ProjScratch) sortRadix(minLabel, k int) {
 	// One pass collects all eight byte histograms.
 	var hist [8][256]int
 	for _, t := range cur {
-		key := orderedBits(t.Value)
+		key := OrderedBits(t.Value)
 		for b := 0; b < 8; b++ {
 			hist[b][byte(key>>(8*b))]++
 		}
@@ -205,7 +206,7 @@ func (s *ProjScratch) sortRadix(minLabel, k int) {
 		}
 		shift := uint(8 * b)
 		for _, t := range cur {
-			by := byte(orderedBits(t.Value) >> shift)
+			by := byte(OrderedBits(t.Value) >> shift)
 			alt[c[by]] = t
 			c[by]++
 		}

@@ -64,7 +64,8 @@ func OrderedEach[T any](ctx context.Context, n, workers int, produce func(i int)
 	var wg sync.WaitGroup
 	// Producers park results in buffered slots and never block, so
 	// waiting for them cannot deadlock; cancel (deferred after, hence
-	// run first) unblocks the dispatcher beforehand.
+	// run first) unblocks the dispatcher beforehand. The dispatcher is
+	// itself in wg, so its Add for a producer never races this Wait.
 	defer wg.Wait()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -73,12 +74,17 @@ func OrderedEach[T any](ctx context.Context, n, workers int, produce func(i int)
 	// released only when its result is consumed, bounding in-flight
 	// results to `workers`.
 	window := make(chan struct{}, workers)
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for i := 0; i < n; i++ {
 			select {
 			case window <- struct{}{}:
 			case <-cctx.Done():
 				return
+			}
+			if cctx.Err() != nil {
+				return // both cases were ready; cancellation wins
 			}
 			wg.Add(1)
 			go func(i int) {

@@ -1,6 +1,11 @@
 package runs
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+
+	"privtree/internal/dataset"
+)
 
 // Class-count groups: the sufficient statistic of the decision-tree
 // split search. For one attribute, the groups record — per distinct
@@ -41,28 +46,148 @@ func (g ClassGroup) Rows() int {
 // GroupClasses builds the class-count groups of one attribute
 // projection: values[i] carries class labels[i], labels lie in
 // [0, nClasses). The input need not be sorted; the output is in
-// ascending value order.
+// ascending value order. It is ClassScratch.Group with a throwaway
+// scratch.
 func GroupClasses(values []float64, labels []int, nClasses int) []ClassGroup {
+	return new(ClassScratch).Group(values, labels, nClasses)
+}
+
+// ClassScratch is reusable working memory for ClassScratch.Group: an
+// open-addressed hash table from value to group, the groups' value
+// keys, values and flattened class counts, and the buffer the distinct
+// keys are sorted in.
+//
+// Ownership rules (DESIGN.md §5e, §5i): a scratch has one user at a
+// time — fan-outs give each worker its own — and Group overwrites
+// every buffer before reading it, so nothing one call leaves behind
+// reaches the next. The groups Group returns are freshly allocated and
+// never alias the scratch.
+type ClassScratch struct {
+	table  []int32   // slot → group index + 1; 0 marks an empty slot
+	keys   []uint64  // group → dataset.OrderedBits of its value
+	vals   []float64 // group → its value, -0.0 folded onto +0.0
+	counts []int     // group g's histogram at [g*nClasses, (g+1)*nClasses)
+	sorted []uint64  // the distinct keys, ascending
+	shift  uint      // 64 - log2(len(table)): slotOf keeps the top bits
+}
+
+// initialGroups caps the group count a fresh table is sized for: small
+// projections get a table proportional to their rows, larger ones start
+// here and double as distinct values arrive, so a call never clears
+// more slots than its own input warrants.
+const initialGroups = 1024
+
+// Group builds the class-count groups of one attribute projection, like
+// GroupClasses, in s's reused buffers. Rows are counted into a hash
+// table keyed on the value's bits in O(rows); only the distinct values
+// are then sorted, in O(distinct · log distinct). Equality is ==: -0.0
+// and +0.0 form one group, whose Value is +0.0. NaNs group by bit
+// pattern and sort by sign past ±Inf — an order the comparison-based
+// split search leaves unspecified.
+func (s *ClassScratch) Group(values []float64, labels []int, nClasses int) []ClassGroup {
 	if len(values) == 0 {
 		return nil
 	}
-	order := make([]int, len(values))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool { return values[order[x]] < values[order[y]] })
-	var out []ClassGroup
-	for _, i := range order {
-		v := values[i]
-		if n := len(out); n > 0 && out[n-1].Value == v {
-			out[n-1].Counts[labels[i]]++
-			continue
+	s.reset(min(len(values), initialGroups))
+	for i, v := range values {
+		l := labels[i]
+		if uint(l) >= uint(nClasses) {
+			panic("runs: class label out of range")
 		}
-		c := make([]int, nClasses)
-		c[labels[i]]++
-		out = append(out, ClassGroup{Value: v, Counts: c})
+		s.counts[s.groupOf(v, nClasses)*nClasses+l]++
+	}
+	s.sorted = append(s.sorted[:0], s.keys...)
+	slices.Sort(s.sorted)
+	out := make([]ClassGroup, len(s.sorted))
+	backing := make([]int, len(s.sorted)*nClasses)
+	for j, k := range s.sorted {
+		g := s.find(k)
+		c := backing[j*nClasses : (j+1)*nClasses : (j+1)*nClasses]
+		copy(c, s.counts[g*nClasses:(g+1)*nClasses])
+		out[j] = ClassGroup{Value: s.vals[g], Counts: c}
 	}
 	return out
+}
+
+// reset empties the scratch and sizes its table for groups distinct
+// values: a power of two at least twice that, so probes stay short.
+func (s *ClassScratch) reset(groups int) {
+	size := 8
+	for size < 2*groups {
+		size *= 2
+	}
+	s.resize(size)
+	s.keys = s.keys[:0]
+	s.vals = s.vals[:0]
+	s.counts = s.counts[:0]
+}
+
+// groupOf returns the index of v's group, opening a zeroed group for a
+// value not seen before.
+func (s *ClassScratch) groupOf(v float64, nClasses int) int {
+	k := dataset.OrderedBits(v)
+	mask := len(s.table) - 1
+	for h := s.slotOf(k); ; h = (h + 1) & mask {
+		g := s.table[h]
+		if g == 0 {
+			s.table[h] = int32(len(s.keys) + 1)
+			s.keys = append(s.keys, k)
+			if v == 0 {
+				v = 0 // fold -0.0 onto +0.0
+			}
+			s.vals = append(s.vals, v)
+			n := len(s.counts)
+			s.counts = slices.Grow(s.counts, nClasses)[:n+nClasses]
+			clear(s.counts[n:])
+			if 2*len(s.keys) > len(s.table) {
+				s.grow()
+			}
+			return len(s.keys) - 1
+		}
+		if s.keys[g-1] == k {
+			return int(g - 1)
+		}
+	}
+}
+
+// find returns the group index of key k, which must be present.
+func (s *ClassScratch) find(k uint64) int {
+	mask := len(s.table) - 1
+	for h := s.slotOf(k); ; h = (h + 1) & mask {
+		if g := s.table[h]; s.keys[g-1] == k {
+			return int(g - 1)
+		}
+	}
+}
+
+// grow doubles the table and reinserts every group; group indices, and
+// so the counts, are unchanged.
+func (s *ClassScratch) grow() {
+	s.resize(2 * len(s.table))
+	mask := len(s.table) - 1
+	for g, k := range s.keys {
+		h := s.slotOf(k)
+		for s.table[h] != 0 {
+			h = (h + 1) & mask
+		}
+		s.table[h] = int32(g + 1)
+	}
+}
+
+// resize sets the table to size empty slots; size is a power of two.
+func (s *ClassScratch) resize(size int) {
+	if cap(s.table) < size {
+		s.table = make([]int32, size)
+	}
+	s.table = s.table[:size]
+	clear(s.table)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// slotOf is Fibonacci hashing: the top bits of the key times 2^64/φ,
+// which every bit of the key feeds.
+func (s *ClassScratch) slotOf(k uint64) int {
+	return int((k * 0x9e3779b97f4a7c15) >> s.shift)
 }
 
 // MergeClassGroups merges per-shard class-count groups — each slice in

@@ -1,8 +1,12 @@
 package runs
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"privtree/internal/dataset"
@@ -129,3 +133,257 @@ func TestDescendingClassStringLessEdge(t *testing.T) {
 		t.Fatal("single-value groups: strings are equal, want false")
 	}
 }
+
+// referenceGroupClasses is the sort-based oracle for GroupClasses: sort
+// the row indices by value, then fold runs of == values into one
+// histogram each.
+func referenceGroupClasses(values []float64, labels []int, nClasses int) []ClassGroup {
+	if len(values) == 0 {
+		return nil
+	}
+	order := make([]int, len(values))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(x, y int) bool { return values[order[x]] < values[order[y]] })
+	var out []ClassGroup
+	for _, i := range order {
+		if n := len(out); n > 0 && out[n-1].Value == values[i] {
+			out[n-1].Counts[labels[i]]++
+			continue
+		}
+		c := make([]int, nClasses)
+		c[labels[i]]++
+		out = append(out, ClassGroup{Value: values[i], Counts: c})
+	}
+	return out
+}
+
+// sameGroups reports whether two group slices agree element for
+// element: values by ==, so the oracle's -0.0 matches a +0.0 group.
+func sameGroups(got, want []ClassGroup) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].Value != want[i].Value || !reflect.DeepEqual(got[i].Counts, want[i].Counts) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomProjection draws n rows whose values come from `distinct`
+// candidates (all distinct when distinct <= 0), with labels in
+// [0, nClasses).
+func randomProjection(rng *rand.Rand, n, distinct, nClasses int) ([]float64, []int) {
+	values := make([]float64, n)
+	labels := make([]int, n)
+	for i := range values {
+		if distinct > 0 {
+			values[i] = float64(rng.Intn(distinct)) * 0.25
+		} else {
+			values[i] = rng.NormFloat64()
+		}
+		labels[i] = rng.Intn(nClasses)
+	}
+	return values, labels
+}
+
+// TestGroupClassesOracle pins the hash grouping to the sort-based
+// reference on the edge shapes: signed zeros, all-equal, all-distinct,
+// a single row, a single class, and distinct counts on both sides of
+// every table-growth boundary.
+func TestGroupClassesOracle(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name     string
+		values   []float64
+		labels   []int
+		nClasses int
+	}{
+		{"signed zeros", []float64{0, negZero, 1, negZero, -1, 0}, []int{0, 1, 1, 0, 1, 1}, 2},
+		{"only negative zeros", []float64{negZero, negZero}, []int{1, 0}, 2},
+		{"all equal", []float64{7, 7, 7, 7}, []int{2, 0, 2, 1}, 3},
+		{"single row", []float64{-3.5}, []int{0}, 1},
+		{"one class", []float64{3, 1, 2, 1, 3}, []int{0, 0, 0, 0, 0}, 1},
+		{"infinities", []float64{math.Inf(1), -1, math.Inf(-1), math.Inf(1)}, []int{1, 0, 0, 1}, 2},
+		{"extremes", []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}, []int{0, 1, 0, 1}, 2},
+	}
+	rng := rand.New(rand.NewSource(3))
+	allDistinct, l := randomProjection(rng, 5000, 0, 4)
+	cases = append(cases, struct {
+		name     string
+		values   []float64
+		labels   []int
+		nClasses int
+	}{"all distinct", allDistinct, l, 4})
+	// The table starts at 2·min(rows, initialGroups) slots rounded up to
+	// a power of two and doubles when more than half full.
+	for _, d := range []int{3, 4, 5, 8, 9, initialGroups - 1, initialGroups, initialGroups + 1, 2 * initialGroups, 2*initialGroups + 1} {
+		for _, n := range []int{d, 3 * d} {
+			v := make([]float64, n)
+			lab := make([]int, n)
+			for i := range v {
+				v[i] = float64(i%d) - float64(d)/2
+				lab[i] = rng.Intn(3)
+			}
+			cases = append(cases, struct {
+				name     string
+				values   []float64
+				labels   []int
+				nClasses int
+			}{fmt.Sprintf("%d distinct in %d rows", d, n), v, lab, 3})
+		}
+	}
+	var s ClassScratch
+	for _, c := range cases {
+		want := referenceGroupClasses(c.values, c.labels, c.nClasses)
+		if got := GroupClasses(c.values, c.labels, c.nClasses); !sameGroups(got, want) {
+			t.Fatalf("%s: GroupClasses = %v, want %v", c.name, got, want)
+		}
+		if got := s.Group(c.values, c.labels, c.nClasses); !sameGroups(got, want) {
+			t.Fatalf("%s: reused scratch = %v, want %v", c.name, got, want)
+		}
+	}
+}
+
+// TestGroupClassesFoldsNegativeZero checks the signed zeros form one
+// group whose value is +0.0, whatever order they arrive in.
+func TestGroupClassesFoldsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, values := range [][]float64{{negZero, 0}, {0, negZero}, {negZero}} {
+		got := GroupClasses(values, make([]int, len(values)), 1)
+		if len(got) != 1 || got[0].Rows() != len(values) || math.Signbit(got[0].Value) {
+			t.Fatalf("%v: got %v, want one +0.0 group of %d", values, got, len(values))
+		}
+	}
+}
+
+// TestClassScratchReuse runs one scratch through calls of different
+// sizes and class counts, large then small then large, and checks each
+// against a fresh oracle: no count, key or table slot may leak from one
+// call into the next, and no output may alias the scratch.
+func TestClassScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var s ClassScratch
+	var kept [][]ClassGroup
+	var keptWant [][]ClassGroup
+	for trial := 0; trial < 60; trial++ {
+		nClasses := 1 + rng.Intn(7)
+		n := 1 + rng.Intn(4000)
+		if trial%3 == 1 {
+			n = 1 + rng.Intn(8)
+		}
+		distinct := rng.Intn(3000) - 100 // some all-distinct
+		values, labels := randomProjection(rng, n, distinct, nClasses)
+		want := referenceGroupClasses(values, labels, nClasses)
+		got := s.Group(values, labels, nClasses)
+		if !sameGroups(got, want) {
+			t.Fatalf("trial %d (n=%d, classes=%d): got %v, want %v", trial, n, nClasses, got, want)
+		}
+		kept = append(kept, got)
+		keptWant = append(keptWant, want)
+	}
+	// Outputs of earlier calls are untouched by later ones.
+	for i := range kept {
+		if !sameGroups(kept[i], keptWant[i]) {
+			t.Fatalf("output %d changed after the scratch was reused", i)
+		}
+	}
+}
+
+// TestGroupClassesNaN checks NaN rows neither panic nor hang, and that
+// every row is still counted exactly once.
+func TestGroupClassesNaN(t *testing.T) {
+	values := []float64{math.NaN(), 1, math.NaN(), -math.NaN(), 0, math.Inf(1)}
+	labels := []int{0, 1, 1, 0, 1, 0}
+	got := GroupClasses(values, labels, 2)
+	rows := 0
+	for _, g := range got {
+		rows += g.Rows()
+	}
+	if rows != len(values) {
+		t.Fatalf("NaN grouping counted %d rows, want %d: %v", rows, len(values), got)
+	}
+}
+
+// TestGroupClassesLabelOutOfRange pins that a label outside
+// [0, nClasses) is a caller bug reported by panic, never a silent
+// count in a neighbouring group.
+func TestGroupClassesLabelOutOfRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("label 2 with 2 classes: want panic")
+		}
+	}()
+	GroupClasses([]float64{1, 2}, []int{0, 2}, 2)
+}
+
+// TestClassScratchAllocs is the allocation gate: a warm scratch
+// allocates only the output — the group slice and one backing array
+// for all histograms — however many rows it groups.
+func TestClassScratchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1000, 20000, 125000} {
+		values, labels := randomProjection(rng, n, 700, 7)
+		var s ClassScratch
+		s.Group(values, labels, 7) // warm
+		allocs := testing.AllocsPerRun(5, func() { s.Group(values, labels, 7) })
+		if allocs != 2 {
+			t.Fatalf("%d rows: %v allocs per warm Group, want 2", n, allocs)
+		}
+	}
+}
+
+// FuzzGroupClasses is the differential target: hash grouping against
+// the sort-based oracle on arbitrary float bit patterns (NaN excluded,
+// whose order the oracle leaves unspecified), with one scratch reused
+// across the fuzzer's calls.
+func FuzzGroupClasses(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}, uint8(3))
+	var s ClassScratch
+	f.Fuzz(func(t *testing.T, data []byte, classes uint8) {
+		nClasses := 1 + int(classes%8)
+		var values []float64
+		var labels []int
+		for len(data) >= 9 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			if v != v {
+				v = 0
+			}
+			values = append(values, v)
+			labels = append(labels, int(data[8])%nClasses)
+			data = data[9:]
+		}
+		want := referenceGroupClasses(values, labels, nClasses)
+		if got := s.Group(values, labels, nClasses); !sameGroups(got, want) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	})
+}
+
+// BenchmarkGroupClasses groups one 125k-row shard's projection with a
+// warm per-worker scratch in two regimes: covertype-like (7k distinct
+// values, 7 classes) and all-distinct.
+func BenchmarkGroupClasses(b *testing.B) {
+	const n = 125_000
+	for _, c := range []struct {
+		name     string
+		distinct int
+	}{{"covertype", 7000}, {"distinct", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			values, labels := randomProjection(rand.New(rand.NewSource(1)), n, c.distinct, 7)
+			var s ClassScratch
+			s.Group(values, labels, 7)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				groupSink = s.Group(values, labels, 7)
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+var groupSink []ClassGroup

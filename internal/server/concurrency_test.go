@@ -114,7 +114,10 @@ func TestConcurrentKeyStoreMutation(t *testing.T) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%d", g%4) // tenants shared across goroutines
 			for i := 0; i < 20; i++ {
-				name := fmt.Sprintf("k%d", i%5)
+				// Key names are per goroutine: a sibling's Delete must not
+				// race this goroutine's Put→Get pair. Tenants stay shared,
+				// so the per-tenant directory still sees contention.
+				name := fmt.Sprintf("k%d-g%d", i%5, g)
 				wire := []byte(fmt.Sprintf(`{"g":%d,"i":%d}`, g, i))
 				if _, err := st.Put(tenant, name, wire); err != nil {
 					t.Error(err)

@@ -406,7 +406,7 @@ func (b *builder) attrBest(a int, order []int, idx []int, counts []int, parentIm
 		v := col[order[k]]
 		groupLabel := labels[order[k]]
 		pure := true
-		for k < len(order) && col[order[k]] == v {
+		for {
 			l := labels[order[k]]
 			if l != groupLabel {
 				pure = false
@@ -415,6 +415,11 @@ func (b *builder) attrBest(a int, order []int, idx []int, counts []int, parentIm
 			right[l]--
 			nLeft++
 			k++
+			// A NaN equals nothing, itself included, so it forms a group
+			// of one; the loop must still consume it.
+			if k == len(order) || col[order[k]] != v {
+				break
+			}
 		}
 		if k == len(order) {
 			break
@@ -422,6 +427,10 @@ func (b *builder) attrBest(a int, order []int, idx []int, counts []int, parentIm
 		boundary++
 		if nLeft < b.cfg.MinLeaf || total-nLeft < b.cfg.MinLeaf {
 			continue
+		}
+		threshold := (v + col[order[k]]) / 2
+		if threshold != threshold {
+			continue // a NaN neighbour: no threshold separates the groups
 		}
 		// Lemma 2: a boundary strictly inside a label run — both
 		// adjacent groups pure with the same label — can never be
@@ -448,7 +457,7 @@ func (b *builder) attrBest(a int, order []int, idx []int, counts []int, parentIm
 		}
 		cand := split{
 			attr:      a,
-			threshold: (v + col[order[k]]) / 2,
+			threshold: threshold,
 			gain:      gain,
 			boundary:  boundary,
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"privtree/internal/dataset"
 	"privtree/internal/obs"
@@ -101,8 +102,40 @@ type shardedBuilder struct {
 	// in canonical orientation exactly like Build's view.
 	flipped []bool
 
+	// route is the partial tree flattened for routing rows: route[0] is
+	// the root, and a split node's children sit at left and left+1.
+	route []routeNode
+	// scratch holds one scan buffer set per worker, reused by every
+	// shard that worker scans at every level.
+	scratch []scanScratch
+
 	root                *Node
 	numNodes, numLeaves int64
+}
+
+// routeNode is one node of the routing skeleton. A split node (left >
+// 0) sends a row left when its canonically oriented value of attr is
+// at most threshold; a terminal node (left == 0) names the row's
+// frontier index at the current level, or -1 for a finished leaf.
+type routeNode struct {
+	attr      int
+	threshold float64
+	left      int
+	frontier  int
+}
+
+// scanScratch is one worker's scan buffers (parallel scratch rule 3:
+// every buffer is overwritten before it is read, and the class groups a
+// scan emits are freshly allocated by runs.ClassScratch.Group).
+type scanScratch struct {
+	cols   [][]float64 // the shard's columns, flipped attributes negated
+	labels []int       // the shard's labels
+	node   []int       // row → frontier index, or -1
+	perm   []int       // rows ordered by frontier node, stable
+	start  []int       // frontier node fi's rows are perm[start[fi]:start[fi+1]]
+	vals   []float64   // one node's values of one attribute
+	labs   []int       // one node's labels
+	groups runs.ClassScratch
 }
 
 // build grows the tree level by level: one scan of all shards per
@@ -111,13 +144,12 @@ type shardedBuilder struct {
 // next level.
 func (b *shardedBuilder) build() (*Node, error) {
 	b.root = &Node{}
+	b.route = []routeNode{{frontier: 0}}
+	b.scratch = make([]scanScratch, b.workers)
 	frontier := []*Node{b.root}
+	at := []int{0} // frontier node i's route index
 	for dep := 0; len(frontier) > 0; dep++ {
-		idxOf := make(map[*Node]int, len(frontier))
-		for i, n := range frontier {
-			idxOf[n] = i
-		}
-		groups, err := b.scan(idxOf, len(frontier))
+		groups, err := b.scan(len(frontier))
 		if err != nil {
 			return nil, err
 		}
@@ -135,6 +167,7 @@ func (b *shardedBuilder) build() (*Node, error) {
 			}
 		}
 		var next []*Node
+		var nextAt []int
 		for fi, n := range frontier {
 			counts := make([]int, b.nClasses)
 			for _, g := range groups[fi][0] {
@@ -149,6 +182,8 @@ func (b *shardedBuilder) build() (*Node, error) {
 			b.numNodes++
 			n.Counts = counts
 			n.Class = argmax(counts)
+			rn := &b.route[at[fi]]
+			rn.frontier = -1
 			if stopNode(b.cfg, counts, total, dep) {
 				n.Leaf = true
 				b.numLeaves++
@@ -164,35 +199,29 @@ func (b *shardedBuilder) build() (*Node, error) {
 			n.Threshold = best.threshold
 			n.Left = &Node{}
 			n.Right = &Node{}
+			rn.attr, rn.threshold, rn.left = best.attr, best.threshold, len(b.route)
+			b.route = append(b.route, routeNode{frontier: len(next)}, routeNode{frontier: len(next) + 1})
+			nextAt = append(nextAt, len(b.route)-2, len(b.route)-1)
 			next = append(next, n.Left, n.Right)
 		}
-		frontier = next
+		frontier, at = next, nextAt
 	}
 	return b.root, nil
 }
 
-// routeRow descends row r of blk through the partial tree and returns
-// the index of the frontier node it reaches, or -1 if it lands in a
-// finished leaf.
-func (b *shardedBuilder) routeRow(idxOf map[*Node]int, blk *dataset.Block, r int) int {
-	n := b.root
-	for {
-		if fi, ok := idxOf[n]; ok {
-			return fi
-		}
-		if n.Leaf {
-			return -1
-		}
-		v := blk.Cols[n.Attr][r]
-		if b.flipped[n.Attr] {
-			v = -v
-		}
-		if v <= n.Threshold {
-			n = n.Left
+// routeRow descends row r of the canonically oriented columns through
+// the routing skeleton and returns the frontier index it reaches, or -1
+// if it lands in a finished leaf.
+func (b *shardedBuilder) routeRow(cols [][]float64, r int) int {
+	n := &b.route[0]
+	for n.left > 0 {
+		if cols[n.attr][r] <= n.threshold {
+			n = &b.route[n.left]
 		} else {
-			n = n.Right
+			n = &b.route[n.left+1]
 		}
 	}
+	return n.frontier
 }
 
 // scan is one level pass: it streams every shard, routes rows to the
@@ -202,57 +231,13 @@ func (b *shardedBuilder) routeRow(idxOf map[*Node]int, blk *dataset.Block, r int
 // frontier node fi's full subset of attribute a (flipped attributes
 // negated), which is what makes the split search byte-identical to the
 // in-memory scan.
-func (b *shardedBuilder) scan(idxOf map[*Node]int, nf int) ([][][]runs.ClassGroup, error) {
+func (b *shardedBuilder) scan(nf int) ([][][]runs.ClassGroup, error) {
 	nShards := b.src.NumShards()
 	perShard := make([][][][]runs.ClassGroup, nShards) // [shard][node][attr]
-	err := parallel.ForEach(context.Background(), nShards, b.workers, func(si int) error {
-		sh, err := b.src.Shard(si)
-		if err != nil {
-			return err
-		}
-		defer sh.Close()
-		vals := make([][][]float64, nf) // [node][attr] projected values
-		labs := make([][]int, nf)       // [node] labels
-		for {
-			blk, err := sh.Next(0)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			for r := 0; r < len(blk.Labels); r++ {
-				fi := b.routeRow(idxOf, blk, r)
-				if fi < 0 {
-					continue
-				}
-				if vals[fi] == nil {
-					vals[fi] = make([][]float64, b.nAttrs)
-				}
-				for a := 0; a < b.nAttrs; a++ {
-					v := blk.Cols[a][r]
-					if b.flipped[a] {
-						v = -v
-					}
-					vals[fi][a] = append(vals[fi][a], v)
-				}
-				labs[fi] = append(labs[fi], blk.Labels[r])
-			}
-		}
-		out := make([][][]runs.ClassGroup, nf)
-		for fi := range out {
-			if vals[fi] == nil {
-				continue
-			}
-			out[fi] = make([][]runs.ClassGroup, b.nAttrs)
-			for a := 0; a < b.nAttrs; a++ {
-				out[fi][a] = runs.GroupClasses(vals[fi][a], labs[fi], b.nClasses)
-				vals[fi][a] = nil // rows are folded; free them eagerly
-			}
-			labs[fi] = nil
-		}
+	err := parallel.ForEachWorker(context.Background(), nShards, b.workers, func(w, si int) error {
+		out, err := b.scanShard(&b.scratch[w], si, nf)
 		perShard[si] = out
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -276,6 +261,93 @@ func (b *shardedBuilder) scan(idxOf map[*Node]int, nf int) ([][][]runs.ClassGrou
 		return nil
 	})
 	return merged, nil
+}
+
+// scanShard reduces shard si to its per-(node, attribute) class groups
+// in sc's buffers: it reads the shard's columns (flipped attributes
+// negated), routes every row, orders the rows by frontier node with a
+// stable counting sort, and gathers each node's values attribute by
+// attribute into one buffer for runs.ClassScratch.Group. out[fi] is nil
+// for a node with no rows in the shard.
+func (b *shardedBuilder) scanShard(sc *scanScratch, si, nf int) ([][][]runs.ClassGroup, error) {
+	sh, err := b.src.Shard(si)
+	if err != nil {
+		return nil, err
+	}
+	defer sh.Close()
+	if sc.cols == nil {
+		sc.cols = make([][]float64, b.nAttrs)
+	}
+	rows := b.src.ShardRows(si)
+	for a := range sc.cols {
+		sc.cols[a] = slices.Grow(sc.cols[a][:0], rows)
+	}
+	sc.labels = slices.Grow(sc.labels[:0], rows)
+	for {
+		blk, err := sh.Next(0)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		for a, col := range blk.Cols {
+			base := len(sc.cols[a])
+			sc.cols[a] = append(sc.cols[a], col...)
+			if b.flipped[a] {
+				for r := base; r < len(sc.cols[a]); r++ {
+					sc.cols[a][r] = -sc.cols[a][r]
+				}
+			}
+		}
+		sc.labels = append(sc.labels, blk.Labels...)
+	}
+
+	n := len(sc.labels)
+	sc.node = slices.Grow(sc.node[:0], n)[:n]
+	sc.start = slices.Grow(sc.start[:0], nf+1)[:nf+1]
+	clear(sc.start)
+	for r := range sc.node {
+		fi := b.routeRow(sc.cols, r)
+		sc.node[r] = fi
+		if fi >= 0 {
+			sc.start[fi+1]++
+		}
+	}
+	for fi := 0; fi < nf; fi++ {
+		sc.start[fi+1] += sc.start[fi]
+	}
+	sc.perm = slices.Grow(sc.perm[:0], sc.start[nf])[:sc.start[nf]]
+	fill := sc.start[:nf:nf] // advances to each node's end; restored below
+	for r, fi := range sc.node {
+		if fi >= 0 {
+			sc.perm[fill[fi]] = r
+			fill[fi]++
+		}
+	}
+	copy(sc.start[1:], sc.start[:nf])
+	sc.start[0] = 0
+
+	out := make([][][]runs.ClassGroup, nf)
+	for fi := range out {
+		rs := sc.perm[sc.start[fi]:sc.start[fi+1]]
+		if len(rs) == 0 {
+			continue
+		}
+		sc.labs = slices.Grow(sc.labs[:0], len(rs))[:len(rs)]
+		for k, r := range rs {
+			sc.labs[k] = sc.labels[r]
+		}
+		sc.vals = slices.Grow(sc.vals[:0], len(rs))[:len(rs)]
+		out[fi] = make([][]runs.ClassGroup, b.nAttrs)
+		for a, col := range sc.cols {
+			for k, r := range rs {
+				sc.vals[k] = col[r]
+			}
+			out[fi][a] = sc.groups.Group(sc.vals, sc.labs, b.nClasses)
+		}
+	}
+	return out, nil
 }
 
 // bestGroupSplit mirrors bestSplit over class groups: every
@@ -354,6 +426,10 @@ func attrBestGroups(cfg Config, a int, groups []runs.ClassGroup, counts []int, t
 		if nLeft < cfg.MinLeaf || total-nLeft < cfg.MinLeaf {
 			continue
 		}
+		threshold := (g.Value + groups[k+1].Value) / 2
+		if threshold != threshold {
+			continue // a NaN neighbour: no threshold separates the groups
+		}
 		// Lemma 2: a boundary strictly inside a label run — both
 		// adjacent groups pure with the same label — can never be
 		// optimal, so skip it (unless benchmarking the full scan).
@@ -379,7 +455,7 @@ func attrBestGroups(cfg Config, a int, groups []runs.ClassGroup, counts []int, t
 		}
 		cand := split{
 			attr:      a,
-			threshold: (g.Value + groups[k+1].Value) / 2,
+			threshold: threshold,
 			gain:      gain,
 			boundary:  boundary,
 		}

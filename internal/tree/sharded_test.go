@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"privtree/internal/dataset"
 	"privtree/internal/runs"
@@ -200,5 +202,107 @@ func TestGroupClassesMatchesPresort(t *testing.T) {
 	merged := runs.MergeClassGroups([][]runs.ClassGroup{left, right})
 	if fmt.Sprint(merged) != fmt.Sprint(groups) {
 		t.Errorf("merged %v, want %v", merged, groups)
+	}
+}
+
+// signedZeroFixture builds a relation whose attribute z holds both
+// -0.0 and +0.0 and whose labels fall as z rises, so canonical
+// orientation flips z: the descending class string starts with class
+// 0. Values skip the CSV round trip; binary shards keep every bit.
+func signedZeroFixture(t *testing.T, n int) *dataset.Dataset {
+	t.Helper()
+	negZero := math.Copysign(0, -1)
+	zs := []float64{-3, -2, -1, negZero, 0, 1, 2, 3}
+	rng := rand.New(rand.NewSource(8))
+	d := dataset.New([]string{"z", "w"}, []string{"lo", "hi"})
+	// Shard sinks number classes in order of first appearance, so the
+	// first row carries class 0.
+	if err := d.Append([]float64{3, 0}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		z := zs[rng.Intn(len(zs))]
+		w := float64(rng.Intn(5))
+		label := 0
+		if z <= 0 {
+			label = 1
+		}
+		if rng.Float64() < 0.05 {
+			label = 1 - label
+		}
+		if err := d.Append([]float64{z, w}, label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+// TestBuildShardedSignedZeros pins byte-identity with Build on a
+// column mixing -0.0 and +0.0 that canonical orientation negates: the
+// hash grouping folds both zeros into one group, exactly as Build's
+// presort treats them as one value.
+func TestBuildShardedSignedZeros(t *testing.T) {
+	const n = 900
+	d := signedZeroFixture(t, n)
+	if !runs.DescendingClassStringLess(runs.GroupClasses(d.Cols[0], d.Labels, 2)) {
+		t.Fatal("fixture: canonical orientation must flip z")
+	}
+	// MaxDepth bounds the tree should the zeros ever split apart: a
+	// threshold between -0.0 and +0.0 routes every row left.
+	cfg := Config{MinLeaf: 5, MaxDepth: 12, Workers: 1}
+	root, err := Build(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Marshal(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		src := writeShardedTree(t, d, t.TempDir(), dataset.FormatBin, (n+shards-1)/shards)
+		for _, workers := range []int{1, 4} {
+			scfg := cfg
+			scfg.Workers = workers
+			got, err := BuildSharded(src, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Config.Workers = 1
+			gotBytes, err := Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes, want) {
+				t.Fatalf("shards=%d workers=%d: sharded tree differs from in-memory", shards, workers)
+			}
+		}
+	}
+}
+
+// TestBuildShardedNaN pins only that NaN values, whose order the split
+// search leaves unspecified, neither panic nor hang either builder.
+func TestBuildShardedNaN(t *testing.T) {
+	const n = 300
+	d := signedZeroFixture(t, n)
+	for i := 0; i < n; i += 7 {
+		d.Cols[0][i] = math.NaN()
+	}
+	src := writeShardedTree(t, d, t.TempDir(), dataset.FormatBin, 100)
+	done := make(chan error, 1)
+	go func() {
+		if _, err := Build(d, Config{MinLeaf: 5}); err != nil {
+			done <- err
+			return
+		}
+		_, err := BuildSharded(src, Config{MinLeaf: 5, Workers: 4})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("building with NaN values did not finish within a minute")
 	}
 }
