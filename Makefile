@@ -49,12 +49,13 @@ race:
 
 # Concurrency stress: the tests that share state across goroutines —
 # concurrent store and server tests, the sharded builder, the grouping
-# scratch and the differential battery — under the race detector, 20
+# scratch, the differential battery and the CSV codec's width and
+# block-size invariance — under the race detector, 20
 # times at 1, 2 and 4 procs, so a flaky interleaving surfaces before
 # merge. The sharded-builder package alone takes longer than go
 # test's default 10-minute timeout this way (~23 min in all, 2 cores).
 stress:
-	$(GO) test -race -count=20 -cpu 1,2,4 -timeout 60m -run 'Concurrent|BuildSharded|GroupClasses|Differential' ./...
+	$(GO) test -race -count=20 -cpu 1,2,4 -timeout 60m -run 'Concurrent|BuildSharded|GroupClasses|Differential|CSVCodec(Invariance|FirstError)' ./...
 
 bench:
 	$(GO) test -run xxx -bench=. -benchmem ./...
@@ -82,6 +83,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transform -run FuzzUnmarshalKey -fuzz FuzzUnmarshalKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataset -run FuzzWriteCSV -fuzz FuzzWriteCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run FuzzReadBinaryShard -fuzz FuzzReadBinaryShard -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run FuzzGuarantee -fuzz FuzzGuarantee -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/runs -run FuzzGroupClasses -fuzz FuzzGroupClasses -fuzztime $(FUZZTIME)

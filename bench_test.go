@@ -798,3 +798,43 @@ func BenchmarkServerEncode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCSVCodec measures the CSV text path the custodian hands D′
+// through: ReadCSV plus WriteCSV of 100k encoded covertype rows per op,
+// with the codec's width set through PRIVTREE_WORKERS. Parsed datasets
+// and written bytes are identical at any width; rows/s feeds
+// BENCH_parallel.json.
+func BenchmarkCSVCodec(b *testing.B) {
+	const rows = 100_000
+	enc, _, err := Encode(benchData(b, rows), EncodeOptions{Strategy: StrategyMaxMP}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := enc.WriteCSV(&text); err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		b.Run(benchName("workers", workers), func(b *testing.B) {
+			b.Setenv(parallel.EnvWorkers, benchName("", workers)[1:])
+			var out bytes.Buffer
+			b.SetBytes(int64(text.Len()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := ReadCSV(bytes.NewReader(text.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				out.Reset()
+				if err := d.WriteCSV(&out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if !bytes.Equal(out.Bytes(), text.Bytes()) {
+				b.Fatal("CSV round trip changed the bytes")
+			}
+			reportRowsPerSec(b, rows)
+		})
+	}
+}

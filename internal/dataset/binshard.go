@@ -475,9 +475,8 @@ func (s *BinaryShardSink) closeShard() error {
 // needed. Labels resolve against the sink's schema at Write time, so a
 // streaming source's live schema works.
 func (s *BinaryShardSink) Write(b *Block) error {
-	m := s.schema.NumAttrs()
-	if len(b.Cols) != m {
-		return fmt.Errorf("block has %d columns, schema %d: %w", len(b.Cols), m, ErrSchemaMismatch)
+	if err := checkBlock(b, s.schema.NumAttrs()); err != nil {
+		return err
 	}
 	if cap(s.labelBuf) < len(b.Labels) {
 		s.labelBuf = make([]uint16, len(b.Labels))

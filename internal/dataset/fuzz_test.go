@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// FuzzReadCSV exercises the CSV parser against arbitrary input: it must
-// never panic, and anything it accepts must validate and round-trip.
+// FuzzReadCSV checks the CSV decoder against the encoding/csv
+// reference at codec widths 1 and 3: it must accept exactly the inputs
+// the reference accepts — rejecting the rest with ErrMalformedCSV, as
+// the reference does — and decode accepted inputs to bit-identical
+// datasets, which must validate and round-trip.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("a,b,class\n1,2,x\n3,4,y\n")
 	f.Add("a,class\n1.5,x\n")
@@ -19,23 +23,80 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("a,class\nNaN,x\n")
 	f.Add("a,class\n1e308,x\n1e308,x\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		d, err := ReadCSV(strings.NewReader(in))
-		if err != nil {
-			return
+		// The input as given, and with everything after its first line
+		// repeated until the records span several row ranges.
+		header, body, _ := strings.Cut(in, "\n")
+		for _, in := range []string{in, header + "\n" + strings.Repeat(body+"\n", 3*minRangeRows)} {
+			fuzzReadCSV(t, in)
 		}
+	})
+}
+
+// fuzzReadCSV is one FuzzReadCSV check of in.
+func fuzzReadCSV(t *testing.T, in string) {
+	want, werr := refReadCSV(strings.NewReader(in))
+	for _, workers := range []int{1, 3} {
+		d, err := readCSV(strings.NewReader(in), workers)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("workers=%d: error %v, reference error %v\ninput: %q", workers, err, werr, in)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformedCSV) || !errors.Is(werr, ErrMalformedCSV) {
+				t.Fatalf("workers=%d: error %v, reference error %v: want both ErrMalformedCSV", workers, err, werr)
+			}
+			continue
+		}
+		requireBitIdentical(t, want, d)
 		if err := d.Validate(); err != nil {
 			t.Fatalf("accepted CSV fails validation: %v\ninput: %q", err, in)
 		}
 		var buf bytes.Buffer
-		if err := d.WriteCSV(&buf); err != nil {
+		if err := d.writeCSV(&buf, workers); err != nil {
 			t.Fatalf("write-back failed: %v", err)
 		}
-		back, err := ReadCSV(&buf)
+		back, err := readCSV(&buf, workers)
 		if err != nil {
 			t.Fatalf("round trip parse failed: %v", err)
 		}
 		if back.NumTuples() != d.NumTuples() || back.NumAttrs() != d.NumAttrs() {
 			t.Fatalf("round trip changed dimensions")
+		}
+	}
+}
+
+// FuzzWriteCSV checks the CSV encoder against the encoding/csv
+// reference writer at codec widths 1 and 3: the same bytes for any
+// attribute name, class names and values. Rows of two attributes carry
+// the three fuzzed values in every column and class position, repeated
+// until they span several row ranges.
+func FuzzWriteCSV(f *testing.F) {
+	names := []string{"a,b", `say "hi"`, "cr\rhere", "two\nlines", " lead", `\.`, "", "plain"}
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		5e-324, 2.2250738585072e-310, 1e21, 1e-7, -123.456}
+	for i := range names {
+		f.Add(names[i], names[(i+1)%len(names)], names[(i+2)%len(names)],
+			values[i%len(values)], values[(i+3)%len(values)], math.Float64bits(values[(i+7)%len(values)]))
+	}
+	f.Fuzz(func(t *testing.T, attr, class0, class1 string, v0, v1 float64, bits uint64) {
+		v2 := math.Float64frombits(bits)
+		d := New([]string{attr, class1}, []string{class0, class1})
+		for range minRangeRows {
+			d.Cols[0] = append(d.Cols[0], v0, v1, v2)
+			d.Cols[1] = append(d.Cols[1], v2, v0, v1)
+			d.Labels = append(d.Labels, 0, 1, 0)
+		}
+		var want bytes.Buffer
+		if err := refWriteCSV(d, &want); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			var got bytes.Buffer
+			if err := d.writeCSV(&got, workers); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("workers=%d: wrote %q, reference %q", workers, got.Bytes(), want.Bytes())
+			}
 		}
 	})
 }

@@ -1,13 +1,11 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 )
 
 // The sharded layer: a relation instance split across multiple CSV
@@ -189,6 +187,7 @@ type ShardedSource struct {
 	dir     string
 	schema  *Schema
 	classes map[string]int
+	workers int // CSV codec width of the shard readers; <= 0: the default
 	next    int // next shard index to open
 	cur     rowReader
 	buf     Block
@@ -243,7 +242,7 @@ func (s *ShardedSource) Next(max int) (*Block, error) {
 			if s.next >= len(s.m.Shards) {
 				return nil, io.EOF
 			}
-			r, err := openShard(s.dir, s.m, s.classes, s.next)
+			r, err := openShard(s.dir, s.m, s.classes, s.next, s.workers)
 			if err != nil {
 				return nil, err
 			}
@@ -296,7 +295,7 @@ func (s *ShardedSource) Shard(i int) (*ShardSource, error) {
 	if i < 0 || i >= len(s.m.Shards) {
 		return nil, fmt.Errorf("shard %d outside [0,%d): %w", i, len(s.m.Shards), ErrBadManifest)
 	}
-	r, err := openShard(s.dir, s.m, s.classes, i)
+	r, err := openShard(s.dir, s.m, s.classes, i, s.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -351,9 +350,8 @@ type rowReader interface {
 type shardReader struct {
 	f        *os.File
 	h        *xxh64
-	cr       *csv.Reader
+	dec      *csvDecoder
 	path     string
-	attrs    []string
 	classes  map[string]int
 	declared int
 	want     string // manifest checksum; "" skips verification
@@ -361,8 +359,9 @@ type shardReader struct {
 }
 
 // openShard opens shard i of the manifest in the manifest's declared
-// format and validates its header.
-func openShard(dir string, m *Manifest, classes map[string]int, i int) (rowReader, error) {
+// format and validates its header. workers is the CSV codec width
+// (<= 0: the default).
+func openShard(dir string, m *Manifest, classes map[string]int, i, workers int) (rowReader, error) {
 	path := m.Shards[i].Path
 	if !filepath.IsAbs(path) {
 		path = filepath.Join(dir, path)
@@ -375,15 +374,12 @@ func openShard(dir string, m *Manifest, classes map[string]int, i int) (rowReade
 		return newBinShardReader(f, path, len(m.AttrNames), len(m.ClassNames), m.Shards[i].Rows, m.Shards[i].Checksum)
 	}
 	h := newXXH64()
-	sc := csv.NewReader(io.TeeReader(f, h))
-	// Records are fully consumed before the next read, so the reader
-	// may reuse its record buffer.
-	sc.ReuseRecord = true
-	header, err := sc.Read()
+	dec, err := newCSVDecoder(io.TeeReader(f, h), workers)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("shard %s: reading header: %w: %w", path, err, ErrBadManifest)
 	}
+	header := dec.header
 	if len(header) != len(m.AttrNames)+1 || header[len(header)-1] != "class" {
 		f.Close()
 		return nil, fmt.Errorf("shard %s: header has %d columns, manifest declares %d attributes: %w",
@@ -399,9 +395,8 @@ func openShard(dir string, m *Manifest, classes map[string]int, i int) (rowReade
 	return &shardReader{
 		f:        f,
 		h:        h,
-		cr:       sc,
+		dec:      dec,
 		path:     path,
-		attrs:    m.AttrNames,
 		classes:  classes,
 		declared: m.Shards[i].Rows,
 		want:     m.Shards[i].Checksum,
@@ -415,70 +410,44 @@ func (r *shardReader) next(max int, buf *Block) (*Block, error) {
 	if max <= 0 {
 		max = defaultBlockRows
 	}
-	m := len(r.attrs)
-	if cap(buf.Labels) < max || len(buf.Cols) != m {
-		buf.Labels = make([]int, 0, max)
-		buf.Cols = make([][]float64, m)
-		for a := range buf.Cols {
-			buf.Cols[a] = make([]float64, 0, max)
-		}
+	err := r.dec.decode(max, buf, r.class)
+	if err == nil {
+		return buf, nil
 	}
-	buf.Labels = buf.Labels[:0]
-	for a := range buf.Cols {
-		buf.Cols[a] = buf.Cols[a][:0]
+	if err != io.EOF {
+		return nil, fmt.Errorf("shard %s: %w", r.path, err)
 	}
-	for len(buf.Labels) < max {
-		rec, err := r.cr.Read()
-		if err == io.EOF {
-			if len(buf.Labels) > 0 {
-				return buf, nil
-			}
-			if r.read != r.declared {
-				return nil, fmt.Errorf("shard %s has %d rows, manifest declares %d: %w",
-					r.path, r.read, r.declared, ErrBadManifest)
-			}
-			// The csv reader hit EOF, so every file byte has passed
-			// through the hash tee.
-			if r.want != "" {
-				want, err := parseChecksum(r.want)
-				if err != nil {
-					return nil, fmt.Errorf("shard %s: %w", r.path, err)
-				}
-				if got := r.h.Sum64(); got != want {
-					return nil, fmt.Errorf("shard %s: checksum %s, manifest declares %s: %w",
-						r.path, formatChecksum(got), r.want, ErrCorruptShard)
-				}
-			}
-			return nil, io.EOF
-		}
+	if r.read != r.declared {
+		return nil, fmt.Errorf("shard %s has %d rows, manifest declares %d: %w",
+			r.path, r.read, r.declared, ErrBadManifest)
+	}
+	// The decoder hit EOF, so every file byte has passed through the
+	// hash tee.
+	if r.want != "" {
+		want, err := parseChecksum(r.want)
 		if err != nil {
-			return nil, fmt.Errorf("shard %s row %d: %w: %w", r.path, r.read+1, err, ErrMalformedCSV)
+			return nil, fmt.Errorf("shard %s: %w", r.path, err)
 		}
-		if len(rec) != m+1 {
-			return nil, fmt.Errorf("shard %s row %d has %d fields, want %d: %w",
-				r.path, r.read+1, len(rec), m+1, ErrMalformedCSV)
-		}
-		for a := 0; a < m; a++ {
-			v, err := strconv.ParseFloat(rec[a], 64)
-			if err != nil {
-				return nil, fmt.Errorf("shard %s row %d attribute %q: %w: %w",
-					r.path, r.read+1, r.attrs[a], err, ErrMalformedCSV)
-			}
-			buf.Cols[a] = append(buf.Cols[a], v)
-		}
-		li, ok := r.classes[rec[m]]
-		if !ok {
-			return nil, fmt.Errorf("shard %s row %d: class %q not in manifest: %w",
-				r.path, r.read+1, rec[m], ErrBadManifest)
-		}
-		buf.Labels = append(buf.Labels, li)
-		r.read++
-		if r.read > r.declared {
-			return nil, fmt.Errorf("shard %s has more than the declared %d rows: %w",
-				r.path, r.declared, ErrBadManifest)
+		if got := r.h.Sum64(); got != want {
+			return nil, fmt.Errorf("shard %s: checksum %s, manifest declares %s: %w",
+				r.path, formatChecksum(got), r.want, ErrCorruptShard)
 		}
 	}
-	return buf, nil
+	return nil, io.EOF
+}
+
+// class resolves a row's class name against the manifest and counts the
+// row against the declared total.
+func (r *shardReader) class(name []byte) (int, error) {
+	label, ok := r.classes[string(name)]
+	if !ok {
+		return 0, fmt.Errorf("class %q not in manifest: %w", name, ErrBadManifest)
+	}
+	r.read++
+	if r.read > r.declared {
+		return 0, fmt.Errorf("more than the declared %d rows: %w", r.declared, ErrBadManifest)
+	}
+	return label, nil
 }
 
 // close finishes a drained shard.

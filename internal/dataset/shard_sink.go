@@ -1,11 +1,10 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 )
 
 // classTracker resolves sink-schema label indices to manifest label
@@ -77,16 +76,17 @@ type ShardSink interface {
 // <prefix>.manifest.json describing them, including an XXH64 checksum
 // of each shard file's bytes. Rows land in shard files in stream
 // order, so reading the set back through ShardedSource yields exactly
-// the written stream.
+// the written stream. The rows of each shard's part of a block are
+// formatted in parallel, like CSVSink's.
 type ShardedCSVSink struct {
 	prefix       string
 	schema       *Schema
 	rowsPerShard int
+	enc          *csvEncoder
 
 	f       *os.File
 	h       *xxh64
-	cw      *csv.Writer
-	row     []string
+	w       io.Writer // f teed into h
 	curRows int
 
 	shards  []ShardInfo
@@ -99,6 +99,12 @@ type ShardedCSVSink struct {
 // file and must be positive. Labels resolve against schema at Write
 // time, so a streaming source's live schema works.
 func NewShardedCSVSink(prefix string, rowsPerShard int, schema *Schema) (*ShardedCSVSink, error) {
+	return newShardedCSVSink(prefix, rowsPerShard, schema, 0)
+}
+
+// newShardedCSVSink is NewShardedCSVSink at the given codec width
+// (<= 0: the default).
+func newShardedCSVSink(prefix string, rowsPerShard int, schema *Schema, workers int) (*ShardedCSVSink, error) {
 	if rowsPerShard <= 0 {
 		return nil, fmt.Errorf("rows per shard %d, want > 0: %w", rowsPerShard, ErrBadManifest)
 	}
@@ -109,6 +115,7 @@ func NewShardedCSVSink(prefix string, rowsPerShard int, schema *Schema) (*Sharde
 		prefix:       prefix,
 		schema:       schema,
 		rowsPerShard: rowsPerShard,
+		enc:          newCSVEncoder(schema, workers),
 	}
 	s.classes.init(schema)
 	return s, nil
@@ -135,20 +142,15 @@ func (s *ShardedCSVSink) openShard() error {
 	}
 	s.f = f
 	s.h = newXXH64()
-	s.cw = csv.NewWriter(&hashingWriter{w: f, h: s.h})
+	s.w = &hashingWriter{w: f, h: s.h}
 	s.curRows = 0
-	header := append(append([]string(nil), s.schema.AttrNames...), "class")
-	return s.cw.Write(header)
+	_, err = s.w.Write(s.enc.header())
+	return err
 }
 
 // closeShard finishes the open shard file and records it in the
 // manifest's shard list.
 func (s *ShardedCSVSink) closeShard() error {
-	s.cw.Flush()
-	if err := s.cw.Error(); err != nil {
-		s.f.Close()
-		return err
-	}
 	if err := s.f.Close(); err != nil {
 		return err
 	}
@@ -158,37 +160,38 @@ func (s *ShardedCSVSink) closeShard() error {
 		Checksum: formatChecksum(s.h.Sum64()),
 	})
 	s.f = nil
-	s.cw = nil
+	s.w = nil
 	return nil
 }
 
 // Write implements Sink, splitting blocks across shard boundaries as
-// needed.
+// needed. A block that does not fit the schema fails with
+// ErrSchemaMismatch, a label outside its classes with ErrBadLabel;
+// either way nothing of the block is written.
 func (s *ShardedCSVSink) Write(b *Block) error {
-	m := s.schema.NumAttrs()
-	if len(b.Cols) != m {
-		return fmt.Errorf("block has %d columns, schema %d: %w", len(b.Cols), m, ErrSchemaMismatch)
+	if err := checkBlock(b, s.schema.NumAttrs()); err != nil {
+		return err
 	}
-	if s.row == nil {
-		s.row = make([]string, m+1)
+	if err := s.enc.checkLabels(b.Labels); err != nil {
+		return err
 	}
-	for i, label := range b.Labels {
+	for _, label := range b.Labels {
+		if _, err := s.classes.resolve(label); err != nil {
+			return err
+		}
+	}
+	for lo := 0; lo < b.NumRows(); {
 		if s.f == nil {
 			if err := s.openShard(); err != nil {
 				return err
 			}
 		}
-		for a := 0; a < m; a++ {
-			s.row[a] = strconv.FormatFloat(b.Cols[a][i], 'g', -1, 64)
-		}
-		if _, err := s.classes.resolve(label); err != nil {
+		hi := min(b.NumRows(), lo+s.rowsPerShard-s.curRows)
+		if err := s.enc.encode(s.w, b, lo, hi); err != nil {
 			return err
 		}
-		s.row[m] = s.schema.ClassNames[label]
-		if err := s.cw.Write(s.row); err != nil {
-			return err
-		}
-		s.curRows++
+		s.curRows += hi - lo
+		lo = hi
 		if s.curRows == s.rowsPerShard {
 			if err := s.closeShard(); err != nil {
 				return err

@@ -1,10 +1,8 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // The streaming layer: a chunked Source/Sink pair that lets consumers
@@ -153,32 +151,35 @@ func (s *DatasetSource) Next(max int) (*Block, error) {
 // CSVSource streams a CSV relation (last column = class) block-wise
 // without reading the file into memory. Class names are assigned
 // indices in order of first appearance, exactly like ReadCSV, so a
-// CSVSource drained into a Collector reproduces ReadCSV's dataset.
+// CSVSource drained into a Collector reproduces ReadCSV's dataset. A
+// block with a malformed record fails as a whole: the rows before it in
+// the block are not delivered either, and the source stays failed.
 type CSVSource struct {
-	cr      *csv.Reader
+	dec     *csvDecoder
 	schema  *Schema
 	classes map[string]int
-	line    int
 	buf     Block
 	err     error
 }
 
 // NewCSVSource prepares a streaming CSV reader; the header row is read
 // eagerly so Schema is available before the first block.
-func NewCSVSource(r io.Reader) (*CSVSource, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+func NewCSVSource(r io.Reader) (*CSVSource, error) { return newCSVSource(r, 0) }
+
+// newCSVSource is NewCSVSource at the given codec width (<= 0: the
+// default).
+func newCSVSource(r io.Reader, workers int) (*CSVSource, error) {
+	dec, err := newCSVDecoder(r, workers)
 	if err != nil {
 		return nil, fmt.Errorf("reading header: %w: %w", err, ErrMalformedCSV)
 	}
-	if len(header) < 2 {
-		return nil, fmt.Errorf("need at least one attribute and a class column, got %d columns: %w", len(header), ErrMalformedCSV)
+	if len(dec.header) < 2 {
+		return nil, fmt.Errorf("need at least one attribute and a class column, got %d columns: %w", len(dec.header), ErrMalformedCSV)
 	}
 	return &CSVSource{
-		cr:      cr,
-		schema:  &Schema{AttrNames: append([]string(nil), header[:len(header)-1]...)},
+		dec:     dec,
+		schema:  &Schema{AttrNames: append([]string(nil), dec.header[:len(dec.header)-1]...)},
 		classes: map[string]int{},
-		line:    1,
 	}, nil
 }
 
@@ -193,113 +194,75 @@ func (s *CSVSource) Next(max int) (*Block, error) {
 	if max <= 0 {
 		max = defaultBlockRows
 	}
-	m := len(s.schema.AttrNames)
-	if cap(s.buf.Labels) < max {
-		s.buf.Labels = make([]int, 0, max)
-		s.buf.Cols = make([][]float64, m)
-		for a := range s.buf.Cols {
-			s.buf.Cols[a] = make([]float64, 0, max)
-		}
-	}
-	s.buf.Labels = s.buf.Labels[:0]
-	for a := range s.buf.Cols {
-		s.buf.Cols[a] = s.buf.Cols[a][:0]
-	}
-	for len(s.buf.Labels) < max {
-		s.line++
-		rec, err := s.cr.Read()
-		if err == io.EOF {
-			s.err = io.EOF
-			break
-		}
-		if err != nil {
-			s.err = fmt.Errorf("line %d: %w: %w", s.line, err, ErrMalformedCSV)
-			return nil, s.err
-		}
-		if len(rec) != m+1 {
-			s.err = fmt.Errorf("line %d has %d fields, want %d: %w", s.line, len(rec), m+1, ErrMalformedCSV)
-			return nil, s.err
-		}
-		for a := 0; a < m; a++ {
-			v, err := strconv.ParseFloat(rec[a], 64)
-			if err != nil {
-				s.err = fmt.Errorf("line %d attribute %q: %w: %w", s.line, s.schema.AttrNames[a], err, ErrMalformedCSV)
-				return nil, s.err
-			}
-			s.buf.Cols[a] = append(s.buf.Cols[a], v)
-		}
-		cls := rec[m]
-		li, ok := s.classes[cls]
-		if !ok {
-			li = len(s.schema.ClassNames)
-			s.classes[cls] = li
-			s.schema.ClassNames = append(s.schema.ClassNames, cls)
-		}
-		s.buf.Labels = append(s.buf.Labels, li)
-	}
-	if len(s.buf.Labels) == 0 {
-		return nil, io.EOF
+	if err := s.dec.decode(max, &s.buf, s.class); err != nil {
+		s.err = err
+		return nil, err
 	}
 	return &s.buf, nil
+}
+
+// class resolves a class name to its label, adding names not seen
+// before to the schema in order of first appearance.
+func (s *CSVSource) class(name []byte) (int, error) {
+	if label, ok := s.classes[string(name)]; ok {
+		return label, nil
+	}
+	c := string(name)
+	label := len(s.schema.ClassNames)
+	s.classes[c] = label
+	s.schema.ClassNames = append(s.schema.ClassNames, c)
+	return label, nil
 }
 
 // CSVSink writes blocks as CSV in the format of Dataset.WriteCSV: a
 // header row, attribute columns first, the class name last. It resolves
 // labels against the given schema at Write time, so it composes with a
-// streaming source whose ClassNames is still growing.
+// streaming source whose ClassNames is still growing. Each Write
+// formats the block's rows in parallel and writes them in row order.
 type CSVSink struct {
-	cw     *csv.Writer
-	schema *Schema
-	row    []string
-	wrote  bool
+	w     io.Writer
+	enc   *csvEncoder
+	wrote bool
 }
 
 // NewCSVSink returns a Sink writing to w under schema.
-func NewCSVSink(w io.Writer, schema *Schema) *CSVSink {
-	return &CSVSink{cw: csv.NewWriter(w), schema: schema}
+func NewCSVSink(w io.Writer, schema *Schema) *CSVSink { return newCSVSink(w, schema, 0) }
+
+// newCSVSink is NewCSVSink at the given codec width (<= 0: the
+// default).
+func newCSVSink(w io.Writer, schema *Schema, workers int) *CSVSink {
+	return &CSVSink{w: w, enc: newCSVEncoder(schema, workers)}
 }
 
-// Write implements Sink.
+// Write implements Sink. A block that does not fit the schema fails
+// with ErrSchemaMismatch, a label outside its classes with ErrBadLabel;
+// either way nothing of the block is written.
 func (s *CSVSink) Write(b *Block) error {
-	m := s.schema.NumAttrs()
-	if len(b.Cols) != m {
-		return fmt.Errorf("block has %d columns, schema %d: %w", len(b.Cols), m, ErrSchemaMismatch)
+	if err := checkBlock(b, s.enc.schema.NumAttrs()); err != nil {
+		return err
 	}
-	if !s.wrote {
-		s.wrote = true
-		header := append(append([]string(nil), s.schema.AttrNames...), "class")
-		if err := s.cw.Write(header); err != nil {
-			return err
-		}
-		s.row = make([]string, m+1)
+	if err := s.enc.checkLabels(b.Labels); err != nil {
+		return err
 	}
-	for i, label := range b.Labels {
-		for a := 0; a < m; a++ {
-			s.row[a] = strconv.FormatFloat(b.Cols[a][i], 'g', -1, 64)
-		}
-		if label < 0 || label >= len(s.schema.ClassNames) {
-			return fmt.Errorf("block label %d outside schema classes: %w", label, ErrBadLabel)
-		}
-		s.row[m] = s.schema.ClassNames[label]
-		if err := s.cw.Write(s.row); err != nil {
-			return err
-		}
+	if err := s.writeHeader(); err != nil {
+		return err
 	}
-	return nil
+	return s.enc.encode(s.w, b, 0, b.NumRows())
+}
+
+// writeHeader writes the header row once, before the first row.
+func (s *CSVSink) writeHeader() error {
+	if s.wrote {
+		return nil
+	}
+	s.wrote = true
+	_, err := s.w.Write(s.enc.header())
+	return err
 }
 
 // Flush implements Sink. An empty stream still gets its header so the
 // output is a valid, readable CSV.
-func (s *CSVSink) Flush() error {
-	if !s.wrote {
-		s.wrote = true
-		if err := s.cw.Write(append(append([]string(nil), s.schema.AttrNames...), "class")); err != nil {
-			return err
-		}
-	}
-	s.cw.Flush()
-	return s.cw.Error()
-}
+func (s *CSVSink) Flush() error { return s.writeHeader() }
 
 // Collector is a Sink that materializes the stream into a Dataset —
 // the bridge back from block-wise processing to the in-memory API.
@@ -318,8 +281,8 @@ func NewCollector(schema *Schema) *Collector {
 
 // Write implements Sink.
 func (c *Collector) Write(b *Block) error {
-	if len(b.Cols) != c.d.NumAttrs() {
-		return fmt.Errorf("block has %d columns, schema %d: %w", len(b.Cols), c.d.NumAttrs(), ErrSchemaMismatch)
+	if err := checkBlock(b, c.d.NumAttrs()); err != nil {
+		return err
 	}
 	for a := range b.Cols {
 		c.d.Cols[a] = append(c.d.Cols[a], b.Cols[a]...)

@@ -34,7 +34,7 @@ COUNT="${BENCH_COUNT:-1}"
 # empty benchmark list.
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-go test -run xxx -bench 'Benchmark(Parallel(Trials|Forest|SplitSearch|EncodeStages)|ShardedEncode|BinaryShardedEncode|ShardedMine|ServerEncode)' \
+go test -run xxx -bench 'Benchmark(Parallel(Trials|Forest|SplitSearch|EncodeStages)|ShardedEncode|BinaryShardedEncode|ShardedMine|ServerEncode|CSVCodec)' \
 	-benchtime "$BENCHTIME" -count "$COUNT" . >"$RAW"
 
 awk '
