@@ -48,14 +48,15 @@ race:
 	$(GO) test -race ./...
 
 # Concurrency stress: the tests that share state across goroutines —
-# concurrent store and server tests, the sharded builder, the grouping
-# scratch, the differential battery and the CSV codec's width and
-# block-size invariance — under the race detector, 20
+# concurrent store and server tests, the sharded builder, the in-memory
+# builder's worker invariance, the grouping scratch, the differential
+# battery, the CSV codec's width and block-size invariance and the
+# ordered fan-out's window — under the race detector, 20
 # times at 1, 2 and 4 procs, so a flaky interleaving surfaces before
-# merge. The sharded-builder package alone takes longer than go
-# test's default 10-minute timeout this way (~23 min in all, 2 cores).
+# merge. The tree package alone takes longer than go
+# test's default 10-minute timeout this way, hence -timeout 60m.
 stress:
-	$(GO) test -race -count=20 -cpu 1,2,4 -timeout 60m -run 'Concurrent|BuildSharded|GroupClasses|Differential|CSVCodec(Invariance|FirstError)' ./...
+	$(GO) test -race -count=20 -cpu 1,2,4 -timeout 60m -run 'Concurrent|BuildSharded|BuildWorkers|GroupClasses|Differential|CSVCodec(Invariance|FirstError)|OrderedEach' ./...
 
 bench:
 	$(GO) test -run xxx -bench=. -benchmem ./...
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -run FuzzReadBinaryShard -fuzz FuzzReadBinaryShard -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run FuzzGuarantee -fuzz FuzzGuarantee -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/runs -run FuzzGroupClasses -fuzz FuzzGroupClasses -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tree -run FuzzBuild -fuzz FuzzBuild -fuzztime $(FUZZTIME)
 
 # Coverage profile + per-package floor on the correctness-critical
 # packages (see scripts/coverage.sh).

@@ -420,9 +420,10 @@ func BenchmarkParallelForest(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSplitSearch measures the concurrent per-node
-// attribute scan on nodes above tree.ParallelMinRows. Throughput
-// counts tuples mined per op.
+// BenchmarkParallelSplitSearch measures in-memory tree induction
+// (tree.Build at MinLeaf 5): the attribute presort fans out over the
+// workers, and subtrees above tree.ParallelMinRows grow on goroutines
+// of their own. Throughput counts tuples mined per op.
 func BenchmarkParallelSplitSearch(b *testing.B) {
 	const rows = 40000
 	d := benchData(b, rows)

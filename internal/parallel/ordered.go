@@ -102,11 +102,15 @@ func OrderedEach[T any](ctx context.Context, n, workers int, produce func(i int)
 		case <-cctx.Done():
 			return cctx.Err()
 		}
-		<-window
 		if u.err != nil {
 			return u.err
 		}
-		if err := consume(i, u.v); err != nil {
+		err := consume(i, u.v)
+		// Unit i stops counting against the window only once consumed:
+		// giving the token back earlier would let a new producer start
+		// while i is still in hand, one result past the bound.
+		<-window
+		if err != nil {
 			return err
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // function of per-distinct-value class-count histograms rather than of
 // rows:
 //
-//   - attrBest's scan over the (value, label) presort only ever
+//   - Build's scan over its (value, label) attribute lists only ever
 //     consults, per group of equal values, the per-class counts (for
 //     the running left/right distributions and impurities), the
 //     minimum present label (the "first tuple" of the group in
@@ -350,126 +350,63 @@ func (b *shardedBuilder) scanShard(sc *scanScratch, si, nf int) ([][][]runs.Clas
 	return out, nil
 }
 
-// bestGroupSplit mirrors bestSplit over class groups: every
+// bestGroupSplit is Build's split search over class groups: every
 // attribute's candidate search is independent, winners reduce in
-// attribute order, and the same parallelism threshold applies — the
-// selected split is identical at any worker count, and identical to
-// the in-memory search.
+// attribute order, and nodes with at least ParallelMinRows tuples scan
+// their attributes concurrently — the selected split is identical at
+// any worker count, and identical to the in-memory search.
 func (b *shardedBuilder) bestGroupSplit(gs [][]runs.ClassGroup, counts []int, total int) (split, bool) {
 	parentImp := b.cfg.Criterion.Impurity(counts, total)
 	m := b.nAttrs
 	if obs.Enabled() {
 		obs.Add("tree.split_scans", int64(m))
 	}
+	scans := make([]splitScan, m)
+	scan := func(a int) error {
+		scans[a].init(&b.cfg, counts, total, parentImp)
+		scans[a].groups(a, gs[a])
+		return nil
+	}
 	if b.workers > 1 && total >= ParallelMinRows && m > 1 {
-		cands := make([]split, m)
-		founds := make([]bool, m)
-		_ = parallel.ForEach(context.Background(), m, b.workers, func(a int) error {
-			left := make([]int, len(counts))
-			right := make([]int, len(counts))
-			cands[a], founds[a] = attrBestGroups(b.cfg, a, gs[a], counts, total, parentImp, left, right)
-			return nil
-		})
-		var best split
-		found := false
+		_ = parallel.ForEach(context.Background(), m, b.workers, scan)
+	} else {
 		for a := 0; a < m; a++ {
-			if founds[a] && (!found || cands[a].better(best, 1e-12)) {
-				best = cands[a]
-				found = true
-			}
+			_ = scan(a)
 		}
-		return best, found
 	}
 	var best split
 	found := false
-	left := make([]int, len(counts))
-	right := make([]int, len(counts))
-	for a := 0; a < m; a++ {
-		if cand, ok := attrBestGroups(b.cfg, a, gs[a], counts, total, parentImp, left, right); ok {
-			if !found || cand.better(best, 1e-12) {
-				best = cand
-				found = true
-			}
+	for a := range scans {
+		if s := &scans[a]; s.found && (!found || s.best.better(&best, 1e-12)) {
+			best = s.best
+			found = true
 		}
 	}
 	return best, found
 }
 
-// attrBestGroups is attrBest's scan expressed over class groups. Each
-// group plays the role of one block of equal values in the (value,
-// label) presort: the minimum present label is the block's first-tuple
-// label, one nonzero class means label-pure, and the left/right
-// distributions advance by the group's histogram. Identical integer
-// counts feed identical float arithmetic, so gains, thresholds and
-// tie-break signatures come out bit-equal to the in-memory scan.
-func attrBestGroups(cfg Config, a int, groups []runs.ClassGroup, counts []int, total int, parentImp float64, left, right []int) (split, bool) {
-	var best split
-	found := false
-	for c := range left {
-		left[c] = 0
-		right[c] = counts[c]
-	}
-	nLeft := 0
-	boundary := 0
-	for k := 0; k < len(groups); k++ {
-		g := groups[k]
-		groupLabel, pure := groupLabelPure(g.Counts)
+// groups is Build's list scan expressed over class groups. Each group
+// plays the role of one block of equal values in the (value, label)
+// order: the minimum present label is the block's first-tuple label,
+// one nonzero class means label-pure, and the left side advances by
+// the group's histogram. Identical integer counts feed the shared
+// boundary evaluation, so gains, thresholds and tie-break signatures
+// come out bit-equal to the in-memory scan.
+func (s *splitScan) groups(a int, groups []runs.ClassGroup) bool {
+	s.start(a)
+	for k, g := range groups {
 		for c, n := range g.Counts {
-			left[c] += n
-			right[c] -= n
-			nLeft += n
+			s.left[c] += n
+			s.nLeft += n
 		}
 		if k == len(groups)-1 {
 			break
 		}
-		boundary++
-		if nLeft < cfg.MinLeaf || total-nLeft < cfg.MinLeaf {
-			continue
-		}
-		threshold := (g.Value + groups[k+1].Value) / 2
-		if threshold != threshold {
-			continue // a NaN neighbour: no threshold separates the groups
-		}
-		// Lemma 2: a boundary strictly inside a label run — both
-		// adjacent groups pure with the same label — can never be
-		// optimal, so skip it (unless benchmarking the full scan).
-		if !cfg.FullSplitScan {
-			nextLabel, nextPure := groupLabelPure(groups[k+1].Counts)
-			if pure && groupLabel == nextLabel && nextPure {
-				continue
-			}
-		}
-		nRight := total - nLeft
-		imp := float64(nLeft)/float64(total)*cfg.Criterion.Impurity(left, nLeft) +
-			float64(nRight)/float64(total)*cfg.Criterion.Impurity(right, nRight)
-		gain := parentImp - imp
-		if cfg.Criterion == GainRatio {
-			si := splitInfo(nLeft, nRight, total)
-			if si <= 0 {
-				continue
-			}
-			gain /= si
-		}
-		if gain < cfg.MinGain {
-			continue
-		}
-		cand := split{
-			attr:      a,
-			threshold: threshold,
-			gain:      gain,
-			boundary:  boundary,
-		}
-		// The signature is only needed for tie comparisons; skip the
-		// copies when the candidate is not competitive.
-		if !found || cand.gain >= best.gain-1e-12 {
-			cand.signature(left, right)
-			if !found || cand.better(best, 1e-12) {
-				best = cand
-				found = true
-			}
-		}
+		label, pure := groupLabelPure(g.Counts)
+		nextLabel, nextPure := groupLabelPure(groups[k+1].Counts)
+		s.boundary(g.Value, groups[k+1].Value, label, pure, nextLabel, nextPure)
 	}
-	return best, found
+	return s.found
 }
 
 // groupLabelPure returns the minimum class with a nonzero count — the

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"privtree/internal/dataset"
 	"privtree/internal/runs"
@@ -279,30 +278,44 @@ func TestBuildShardedSignedZeros(t *testing.T) {
 	}
 }
 
-// TestBuildShardedNaN pins only that NaN values, whose order the split
-// search leaves unspecified, neither panic nor hang either builder.
+// TestBuildShardedNaN pins byte-identity with Build on a column mixing
+// NaNs of both signs and two payloads with -0.0 and +0.0, in a column
+// canonical orientation negates. Both builders group values by
+// dataset.OrderedBits key — one group per NaN bit pattern, sorted past
+// the infinities by sign — and route NaN to the high side.
 func TestBuildShardedNaN(t *testing.T) {
-	const n = 300
+	const n = 900
 	d := signedZeroFixture(t, n)
-	for i := 0; i < n; i += 7 {
-		d.Cols[0][i] = math.NaN()
+	nans := []float64{math.NaN(), math.Copysign(math.NaN(), -1), math.Float64frombits(0x7ff8000000000001)}
+	for i := 1; i < n; i += 7 {
+		d.Cols[0][i] = nans[(i/7)%len(nans)]
 	}
-	src := writeShardedTree(t, d, t.TempDir(), dataset.FormatBin, 100)
-	done := make(chan error, 1)
-	go func() {
-		if _, err := Build(d, Config{MinLeaf: 5}); err != nil {
-			done <- err
-			return
-		}
-		_, err := BuildSharded(src, Config{MinLeaf: 5, Workers: 4})
-		done <- err
-	}()
-	select {
-	case err := <-done:
+	cfg := Config{MinLeaf: 5}
+	var want []byte
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		tr, err := Build(d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(time.Minute):
-		t.Fatal("building with NaN values did not finish within a minute")
+		got := mustMarshal(t, tr)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: in-memory tree differs from workers=1", workers)
+		}
+	}
+	for _, shards := range []int{1, 3} {
+		src := writeShardedTree(t, d, t.TempDir(), dataset.FormatBin, (n+shards-1)/shards)
+		for _, workers := range []int{1, 4} {
+			cfg.Workers = workers
+			tr, err := BuildSharded(src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mustMarshal(t, tr), want) {
+				t.Fatalf("shards=%d workers=%d: sharded tree differs from in-memory", shards, workers)
+			}
+		}
 	}
 }

@@ -113,19 +113,21 @@ type Config struct {
 	// optimum lies on a run boundary); the flag exists to benchmark the
 	// optimization.
 	FullSplitScan bool
-	// Workers bounds the goroutines the per-node split search fans
-	// candidate attributes out over at nodes with at least
-	// ParallelMinRows tuples (smaller nodes stay serial — the fan-out
-	// overhead would dominate). 0 resolves through PRIVTREE_WORKERS and
-	// then GOMAXPROCS; 1 forces a fully serial build. Candidate
-	// evaluation is independent per attribute and the reduction to the
-	// best split folds candidates in attribute order, so the mined tree
-	// is identical at any setting.
+	// Workers bounds the goroutines a build runs on. Build sorts its
+	// attributes concurrently and hands subtrees of at least
+	// ParallelMinRows tuples to further goroutines, at most Workers at
+	// once; BuildSharded scans shards, and the attributes of nodes with
+	// at least ParallelMinRows tuples, concurrently. 0 resolves through
+	// PRIVTREE_WORKERS and then GOMAXPROCS; 1 forces a fully serial
+	// build. Every subtree and every split is a function of its tuples
+	// alone, so the mined tree is identical at any setting.
 	Workers int
 }
 
-// ParallelMinRows is the node size at which Config.Workers > 1 switches
-// the split search from serial to concurrent attribute evaluation.
+// ParallelMinRows is the node size from which Config.Workers > 1 puts
+// work on another goroutine: Build's subtree of a child node, and
+// BuildSharded's per-attribute split search. Smaller nodes stay on
+// their goroutine, where the hand-off would cost more than it saves.
 const ParallelMinRows = 2048
 
 func (c Config) withDefaults() Config {
