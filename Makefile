@@ -3,16 +3,16 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-parallel bench-check experiments examples fmt vet clean check fuzz-smoke cover verify obs-smoke shard-smoke privtreed-smoke
+.PHONY: all build test race stress bench bench-parallel bench-check experiments examples fmt fmt-check vet clean check fuzz-smoke cover verify obs-smoke shard-smoke privtreed-smoke
 
 all: build test
 
 # The full local gate, mirroring .github/workflows/ci.yml: build, vet,
-# race-enabled tests, the sharded-encode byte-identity smoke, the
+# gofmt, race-enabled tests, the sharded-encode byte-identity smoke, the
 # privtreed daemon smoke, and a short parallel-benchmark smoke run (the
 # smoke writes its JSON to a scratch file so the committed
 # BENCH_parallel.json keeps its full-length numbers).
-check: build vet race obs-smoke shard-smoke privtreed-smoke
+check: build vet fmt-check race obs-smoke shard-smoke privtreed-smoke
 	BENCH_OUT="$$(mktemp)" ./scripts/bench_parallel.sh 1x
 
 # Daemon smoke: start privtreed on an ephemeral port and prove the HTTP
@@ -112,6 +112,10 @@ examples:
 
 fmt:
 	gofmt -w .
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

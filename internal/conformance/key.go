@@ -52,7 +52,7 @@ func CheckKey(d *dataset.Dataset, key *transform.Key) *Report {
 		ok := checkPieceStructure(rep, ak)
 		checkGlobalMonotone(rep, ak)
 		if ok {
-			groups := runs.GroupValues(d.SortedProjection(a))
+			groups := runs.AttrGroups(d, a)
 			checkBreakpoints(rep, ak, groups)
 			checkBijection(rep, ak, groups)
 		}

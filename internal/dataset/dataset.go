@@ -141,35 +141,6 @@ func (d *Dataset) ActiveDomain(a int) []float64 {
 	return out
 }
 
-// ProjectedTuple is an A-projected tuple ⟨t.A, c⟩: one attribute value
-// plus the class label (Section 3.1).
-type ProjectedTuple struct {
-	Value float64
-	Label int
-}
-
-// Projection returns the A-projected tuples of attribute a in tuple
-// order.
-func (d *Dataset) Projection(a int) []ProjectedTuple {
-	col := d.Cols[a]
-	out := make([]ProjectedTuple, len(col))
-	for i, v := range col {
-		out[i] = ProjectedTuple{Value: v, Label: d.Labels[i]}
-	}
-	return out
-}
-
-// SortedProjection returns the A-projected tuples sorted by value.
-// Ties are broken by label so that equal values appear in a canonical
-// order (Definition 6's "equal values are in some canonical order"),
-// making class strings well-defined and transformation-invariant.
-//
-// The returned slice is freshly allocated; hot callers that profile
-// repeatedly should use SortedProjectionInto with a reused ProjScratch.
-func (d *Dataset) SortedProjection(a int) []ProjectedTuple {
-	return d.SortedProjectionInto(a, &ProjScratch{})
-}
-
 // ClassCounts returns the number of tuples per class.
 func (d *Dataset) ClassCounts() []int {
 	counts := make([]int, len(d.ClassNames))

@@ -121,27 +121,6 @@ func TestActiveDomain(t *testing.T) {
 	}
 }
 
-func TestSortedProjectionOrderAndTies(t *testing.T) {
-	d := New([]string{"a"}, []string{"L", "H"})
-	// Two tuples share value 7 with different labels: canonical order
-	// must put the lower label first.
-	vals := []float64{7, 3, 7, 9}
-	labels := []int{1, 0, 0, 1}
-	for i := range vals {
-		if err := d.Append([]float64{vals[i]}, labels[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := d.SortedProjection(0)
-	wantVals := []float64{3, 7, 7, 9}
-	wantLabels := []int{0, 0, 1, 1}
-	for i := range p {
-		if p[i].Value != wantVals[i] || p[i].Label != wantLabels[i] {
-			t.Fatalf("sorted projection = %v", p)
-		}
-	}
-}
-
 func TestClassCounts(t *testing.T) {
 	d := figure1(t)
 	counts := d.ClassCounts()

@@ -42,7 +42,7 @@ func Fig11(cfg *Config) (*Fig11Result, error) {
 		// Values inside monochromatic pieces are encoded by random
 		// bijections, so the rank mapping the sorting attack relies on
 		// does not exist for them.
-		groups := runs.GroupValues(d.SortedProjection(a))
+		groups := runs.AttrGroups(d, a)
 		immune := make([]bool, len(groups))
 		for _, pc := range runs.MaxMonoPieces(groups, cfg.MinWidth) {
 			if pc.Mono {

@@ -61,7 +61,7 @@ func Fig9(cfg *Config) (*Fig9Result, error) {
 	// Breakpoint parity per attribute: the ChooseMaxMP piece count.
 	ws := make([]int, m)
 	for a := 0; a < m; a++ {
-		groups := runs.GroupValues(d.SortedProjection(a))
+		groups := runs.AttrGroups(d, a)
 		pieces := runs.MaxMonoPieces(groups, cfg.MinWidth)
 		ws[a] = len(pieces)
 		if ws[a] < cfg.W {

@@ -88,7 +88,7 @@ func TestGoldenFig9Cell(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Breakpoint parity, exactly as Fig9 computes it.
-	groups := runs.GroupValues(d.SortedProjection(attrIdx))
+	groups := runs.AttrGroups(d, attrIdx)
 	w := len(runs.MaxMonoPieces(groups, cfg.MinWidth))
 	if w < cfg.W {
 		w = cfg.W

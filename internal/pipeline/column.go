@@ -50,44 +50,28 @@ func newColumn(d *dataset.Dataset, a int) Column {
 	return c
 }
 
-// profile runs the profile stage for one numeric column: sort the
-// A-projection into the scratch and group equal values (the fused
-// runs.GroupColumn path — no intermediate projection copy). Consumes
-// no randomness; Groups owns its memory, the scratch is reusable
-// immediately.
-func (c *Column) profile(d *dataset.Dataset, s *dataset.ProjScratch) {
-	c.Groups = runs.GroupColumn(d, c.Index, s)
-}
-
 // profileColumns fans the profile stage out over the worker pool with
-// one pooled projection scratch per worker: worker w exclusively owns
-// scratches[w], so the buffers are reused across that worker's columns
-// without synchronization, and the scratches return to the package
-// pool for the next encode. Scratch reuse cannot perturb the output —
-// each profile call fully overwrites the projection buffer and Groups
-// aliases none of it — so the stage stays byte-identical at any worker
-// count.
+// one pooled runs.ClassScratch per worker: worker w exclusively owns
+// scratches[w], so the table is reused across that worker's columns
+// without synchronization, and the scratches return to the pool for the
+// next encode. Scratch reuse cannot perturb the output — every call
+// overwrites the scratch before reading it and Groups aliases none of
+// it — so the stage stays byte-identical at any worker count.
 func profileColumns(d *dataset.Dataset, workers int) ([]Column, error) {
 	cols := make([]Column, d.NumAttrs())
-	if workers > d.NumAttrs() {
-		workers = d.NumAttrs()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	scratches := make([]*dataset.ProjScratch, workers)
+	scratches := make([]*runs.ClassScratch, max(1, min(workers, d.NumAttrs())))
 	for w := range scratches {
-		scratches[w] = dataset.GetProjScratch()
+		scratches[w] = runs.GetClassScratch()
 	}
-	err := parallel.ForEachWorker(noCtx, d.NumAttrs(), workers, func(w, a int) error {
+	err := parallel.ForEachWorker(noCtx, d.NumAttrs(), len(scratches), func(w, a int) error {
 		cols[a] = newColumn(d, a)
 		if !cols[a].Categorical {
-			cols[a].profile(d, scratches[w])
+			cols[a].Groups = scratches[w].ValueGroups(d.Cols[a], d.Labels, d.NumClasses())
 		}
 		return nil
 	})
 	for _, s := range scratches {
-		dataset.PutProjScratch(s)
+		runs.PutClassScratch(s)
 	}
 	return cols, err
 }

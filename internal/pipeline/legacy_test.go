@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"privtree/internal/dataset"
@@ -47,7 +48,7 @@ func legacyEncodeAttr(d *dataset.Dataset, a int, opts Options, rng *rand.Rand) (
 	if d.IsCategorical(a) {
 		return legacyEncodeCategorical(d, a, rng)
 	}
-	groups := runs.GroupValues(d.SortedProjection(a))
+	groups := legacyGroupValues(d, a)
 	if len(groups) == 0 {
 		return nil, errors.New("transform: attribute has no values")
 	}
@@ -63,6 +64,39 @@ func legacyEncodeAttr(d *dataset.Dataset, a int, opts Options, rng *rand.Rand) (
 		return nil, fmt.Errorf("transform: unknown strategy %v", opts.Strategy)
 	}
 	return legacyBuildKey(d.AttrNames[a], groups, pieces, opts, rng)
+}
+
+// legacyGroupValues is the historical profile: sort the A-projection
+// by (value, label), then fold runs of equal values into one group
+// each, the group taking the label of its first tuple.
+func legacyGroupValues(d *dataset.Dataset, a int) []runs.ValueGroup {
+	type tuple struct {
+		value float64
+		label int
+	}
+	proj := make([]tuple, d.NumTuples())
+	for i, v := range d.Cols[a] {
+		proj[i] = tuple{v, d.Labels[i]}
+	}
+	sort.Slice(proj, func(i, j int) bool {
+		if proj[i].value != proj[j].value {
+			return proj[i].value < proj[j].value
+		}
+		return proj[i].label < proj[j].label
+	})
+	var out []runs.ValueGroup
+	for _, p := range proj {
+		if n := len(out); n > 0 && out[n-1].Value == p.value {
+			g := &out[n-1]
+			g.Count++
+			if p.label != g.Label {
+				g.Mono = false
+			}
+			continue
+		}
+		out = append(out, runs.ValueGroup{Value: p.value, Count: 1, Mono: true, Label: p.label})
+	}
+	return out
 }
 
 func legacyEncodeCategorical(d *dataset.Dataset, a int, rng *rand.Rand) (*transform.AttributeKey, error) {

@@ -48,11 +48,11 @@ func BenchmarkProfileStage(b *testing.B) {
 }
 
 // TestProfileColumnsAllocsIndependentOfRows pins the pooled-scratch
-// behavior at the stage level: once the projection pool is warm, the
-// per-call allocation count must not grow with the number of tuples —
-// only with the number of attributes (one exact-size groups slice
-// each). A reintroduced per-call projection copy doubles the count and
-// fails the bound.
+// behavior at the stage level: once the grouping scratch pool is warm,
+// the per-call allocation count must not grow with the number of
+// tuples — only with the number of attributes (one exact-size groups
+// slice each). A reintroduced per-call projection copy or histogram
+// doubles the count and fails the bound.
 func TestProfileColumnsAllocsIndependentOfRows(t *testing.T) {
 	small := profileBenchDataset(t, 512, 4)
 	big := profileBenchDataset(t, 8192, 4)
@@ -69,11 +69,11 @@ func TestProfileColumnsAllocsIndependentOfRows(t *testing.T) {
 		})
 	}
 	a1, a2 := bound(small), bound(big)
-	// Fixed overhead: cols slice, scratch-pointer slice, pool
-	// bookkeeping, plus one groups slice per attribute. GC may clear
-	// the pool mid-run, so allow slack — but a per-call projection
-	// copy adds one n-sized allocation per attribute on every call,
-	// which the cross-size comparison catches regardless.
+	// Fixed overhead: cols slice, fan-out bookkeeping, plus one groups
+	// slice per attribute. GC may clear the pool mid-run, so allow
+	// slack — but a per-call projection copy adds one n-sized
+	// allocation per attribute on every call, which the cross-size
+	// comparison catches regardless.
 	const fixed = 4 + 4 + 6
 	if a1 > fixed || a2 > fixed {
 		t.Errorf("profileColumns allocates %.1f (n=512) / %.1f (n=8192) per call, want <= %d", a1, a2, fixed)

@@ -40,6 +40,7 @@ import (
 	"privtree/internal/dataset"
 	"privtree/internal/obs"
 	"privtree/internal/parallel"
+	"privtree/internal/runs"
 	"privtree/internal/transform"
 )
 
@@ -178,12 +179,7 @@ func EncodeColumn(d *dataset.Dataset, a int, opts Options, rng *rand.Rand) (*tra
 	opts = opts.normalize()
 	col := newColumn(d, a)
 	if !col.Categorical {
-		// Pooled scratch: the risk grids call EncodeColumn in tight
-		// per-(cell, trial) loops, so the projection buffers must not be
-		// reallocated per call.
-		s := dataset.GetProjScratch()
-		col.profile(d, s)
-		dataset.PutProjScratch(s)
+		col.Groups = runs.AttrGroups(d, a)
 	}
 	if err := col.choose(opts, rng); err != nil {
 		return nil, &StageError{Stage: StageChoose, Attr: col.Name, Err: err}

@@ -21,14 +21,14 @@ import (
 // worker is ever resident) and the unit of parallelism.
 //
 //   - Two-pass streaming profile: pass one reads each shard once and
-//     reduces it to per-attribute sorted value groups (O(distinct)
-//     memory, pooled ProjScratch sorting); pass two merges the
+//     reduces it to per-attribute class-count groups (O(distinct)
+//     memory, one runs.ClassScratch per worker); pass two merges the
 //     per-shard groups deterministically in shard-index order
-//     (runs.MergeGroups) into exactly the Groups the in-memory
-//     profileColumns computes. The choose/draw/verify stages that
-//     follow are byte-for-byte the same code (assembleKey), so
-//     BuildKeySharded's key is byte-identical to BuildKey's on the
-//     materialized data.
+//     (runs.MergeClassGroups) and derives from them exactly the Groups
+//     the in-memory profileColumns computes (runs.ValueGroupsOf). The
+//     choose/draw/verify stages that follow are byte-for-byte the same
+//     code (assembleKey), so BuildKeySharded's key is byte-identical to
+//     BuildKey's on the materialized data.
 //   - Per-shard apply: shards are transformed concurrently and merged
 //     into the sink in shard-index order (parallel.OrderedEach), so
 //     the output stream is byte-identical to the single-stream
@@ -90,12 +90,13 @@ func buildKeySharded(src shardedProvider, opts Options, rng *rand.Rand) (*transf
 // profileSharded is the two-pass streaming profile stage.
 //
 // Pass one fans out per shard: each worker materializes one shard (the
-// peak-memory bound: shard size × workers), sorts every attribute's
-// A-projection in a pooled ProjScratch and keeps only the O(distinct)
-// value groups. Pass two fans out per attribute, folding the per-shard
-// groups in shard-index order. The merged Groups are element-identical
-// to profileColumns over the concatenated relation — runs.MergeGroups
-// is exact — so everything downstream is untouched by sharding.
+// peak-memory bound: shard size × workers), groups every attribute in
+// its own runs.ClassScratch and keeps only the O(distinct) class-count
+// groups. Pass two fans out per attribute, folding the per-shard groups
+// in shard-index order and deriving the value groups. The merged groups
+// are element-identical to grouping the concatenated relation —
+// runs.MergeClassGroups is exact — so everything downstream is
+// untouched by sharding.
 func profileSharded(src shardedProvider, workers int) ([]Column, error) {
 	sch := src.Schema()
 	nAttrs := sch.NumAttrs()
@@ -103,8 +104,9 @@ func profileSharded(src shardedProvider, workers int) ([]Column, error) {
 	pg := obs.StartProgress("encode/profile_sharded", int64(src.Total()))
 	defer pg.Close()
 
-	perShard := make([][][]runs.ValueGroup, nShards) // [shard][attr]
-	err := parallel.ForEach(noCtx, nShards, workers, func(i int) error {
+	perShard := make([][][]runs.ClassGroup, nShards) // [shard][attr]
+	scratch := make([]runs.ClassScratch, workers)    // one per fan-out worker
+	err := parallel.ForEachWorker(noCtx, nShards, workers, func(w, i int) error {
 		sh, err := src.Shard(i)
 		if err != nil {
 			return &StageError{Stage: StageProfile, Err: err}
@@ -129,12 +131,10 @@ func profileSharded(src shardedProvider, workers int) ([]Column, error) {
 		if err != nil {
 			return &StageError{Stage: StageProfile, Err: err}
 		}
-		s := dataset.GetProjScratch()
-		groups := make([][]runs.ValueGroup, nAttrs)
+		groups := make([][]runs.ClassGroup, nAttrs)
 		for a := range groups {
-			groups[a] = runs.GroupColumn(d, a, s)
+			groups[a] = scratch[w].Group(d.Cols[a], d.Labels, len(sch.ClassNames))
 		}
-		dataset.PutProjScratch(s)
 		perShard[i] = groups
 		pg.Step(rows)
 		return nil
@@ -144,28 +144,15 @@ func profileSharded(src shardedProvider, workers int) ([]Column, error) {
 	}
 
 	cols := make([]Column, nAttrs)
-	shardGroups := make([][]runs.ValueGroup, nShards)
-	mergeErr := parallel.ForEachWorker(noCtx, nAttrs, workers, func(w, a int) error {
-		cols[a] = Column{Index: a, Name: sch.AttrNames[a]}
-		if workers <= 1 || nAttrs == 1 {
-			// Serial path may reuse the one scratch slice.
-			for i := range shardGroups {
-				shardGroups[i] = perShard[i][a]
-			}
-			cols[a].Groups = runs.MergeGroups(shardGroups)
-			return nil
-		}
-		sg := make([][]runs.ValueGroup, nShards)
+	err = parallel.ForEach(noCtx, nAttrs, workers, func(a int) error {
+		sg := make([][]runs.ClassGroup, nShards)
 		for i := range sg {
 			sg[i] = perShard[i][a]
 		}
-		cols[a].Groups = runs.MergeGroups(sg)
+		cols[a] = Column{Index: a, Name: sch.AttrNames[a], Groups: runs.ValueGroupsOf(runs.MergeClassGroups(sg))}
 		return nil
 	})
-	if mergeErr != nil {
-		return nil, mergeErr
-	}
-	return cols, nil
+	return cols, err
 }
 
 // ApplySharded is the parallel per-shard apply stage: shards are

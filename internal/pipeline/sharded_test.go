@@ -3,7 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -112,6 +114,41 @@ func TestBuildKeyShardedOracle(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBuildKeyNaNFailsAtDraw pins encode's one NaN behaviour. The
+// grouping sorts every NaN group to an end of the domain, so the draw
+// stage meets a NaN interval bound and reports it against the
+// attribute — in memory and sharded alike, whether the NaNs sit in one
+// shard or in all of them.
+func TestBuildKeyNaNFailsAtDraw(t *testing.T) {
+	const n = 900
+	for _, rows := range [][]int{{100, 200}, {100, 400, 700}} {
+		rng := rand.New(rand.NewSource(5))
+		d := dataset.New([]string{"w", "x"}, []string{"a", "b"})
+		for i := 0; i < n; i++ {
+			if err := d.Append([]float64{float64(rng.Intn(50)), float64(rng.Intn(80))}, rng.Intn(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range rows {
+			d.Cols[1][r] = math.NaN()
+		}
+		check := func(how string, err error) {
+			t.Helper()
+			var se *StageError
+			if !errors.As(err, &se) || se.Stage != StageDraw || se.Attr != "x" || !errors.Is(err, transform.ErrInvalidPiece) {
+				t.Fatalf("NaN at rows %v, %s: got %v, want a draw-stage error on x wrapping ErrInvalidPiece", rows, how, err)
+			}
+		}
+		opts := Options{Strategy: StrategyMaxMP, Workers: 2}
+		_, err := BuildKey(d, opts, rand.New(rand.NewSource(1)))
+		check("in memory", err)
+		for _, shards := range []int{1, 3} {
+			_, err := BuildKeySharded(writeShardedSet(t, d, t.TempDir(), n/shards), opts, rand.New(rand.NewSource(1)))
+			check(fmt.Sprintf("%d shards", shards), err)
 		}
 	}
 }

@@ -3,27 +3,36 @@ package runs
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"privtree/internal/dataset"
 )
 
-// Class-count groups: the sufficient statistic of the decision-tree
-// split search. For one attribute, the groups record — per distinct
-// value, in ascending value order — how many tuples of each class carry
-// that value. Everything the split scan consults is a function of these
-// histograms: the running left/right class counts, each group's "first
-// tuple" label in canonical (value, label) order (the minimum class
-// with a nonzero count), label purity (exactly one nonzero class), and
-// the candidate thresholds (midpoints of consecutive group values).
-// Class strings are recoverable too — within a value the canonical tie
-// order lists labels ascending, so a group expands to its classes in
-// index order with their multiplicities.
+// Class-count groups: the one grouping substrate of the repo. For one
+// attribute, the groups record — per distinct value, in ascending
+// value order — how many tuples of each class carry that value. Every
+// per-value statistic the paper reads is a function of these
+// histograms:
 //
-// Like ValueGroup, ClassGroup admits an exact, order-insensitive
-// combine (counts sum), so per-shard sorted group runs merge into
-// element-identical global groups — the algebra that lets tree
-// induction run out-of-core over a sharded relation while reproducing
-// the in-memory scan bit for bit.
+//   - the decision-tree split search (Lemma 2): the running left/right
+//     class counts, each group's "first tuple" label in canonical
+//     (value, label) order (the minimum class with a nonzero count),
+//     label purity (exactly one nonzero class), and the candidate
+//     thresholds between consecutive group values;
+//   - the encoder's value groups (Definitions 6–9): a ValueGroup is the
+//     histogram's total, its lowest present class and whether that
+//     class is the only one (ValueGroupsOf, LabelMono);
+//   - class strings (Definition 6, Lemma 1): within a value the
+//     canonical tie order lists labels ascending, so a group expands to
+//     its classes in index order with their multiplicities — front to
+//     back for the ascending string, back to front for the descending
+//     one (ClassStringOf, ClassStringDescendingOf).
+//
+// ClassGroup admits an exact, order-insensitive combine (counts sum),
+// so per-shard sorted group runs merge into element-identical global
+// groups (MergeClassGroups) — the algebra that lets the profile stage
+// and tree induction run out-of-core over a sharded relation while
+// reproducing the in-memory results bit for bit.
 
 // ClassGroup aggregates the tuples sharing one distinct value of an
 // attribute into a per-class count histogram.
@@ -43,6 +52,44 @@ func (g ClassGroup) Rows() int {
 	return n
 }
 
+// LabelMono reads a group's class histogram: label is the lowest class
+// with a nonzero count — the label of the group's first tuple in
+// canonical (value, label) order — and mono reports whether it is the
+// only such class.
+func LabelMono(counts []int) (label int, mono bool) {
+	label = -1
+	nonzero := 0
+	for c, n := range counts {
+		if n == 0 {
+			continue
+		}
+		if label < 0 {
+			label = c
+		}
+		nonzero++
+	}
+	return label, nonzero == 1
+}
+
+// valueGroup derives the ValueGroup of a class-count group.
+func valueGroup(g ClassGroup) ValueGroup {
+	label, mono := LabelMono(g.Counts)
+	return ValueGroup{Value: g.Value, Count: g.Rows(), Mono: mono, Label: label}
+}
+
+// ValueGroupsOf derives the value groups of class-count groups, one
+// per group in the same order.
+func ValueGroupsOf(groups []ClassGroup) []ValueGroup {
+	if len(groups) == 0 {
+		return nil
+	}
+	out := make([]ValueGroup, len(groups))
+	for i, g := range groups {
+		out[i] = valueGroup(g)
+	}
+	return out
+}
+
 // GroupClasses builds the class-count groups of one attribute
 // projection: values[i] carries class labels[i], labels lie in
 // [0, nClasses). The input need not be sorted; the output is in
@@ -52,23 +99,49 @@ func GroupClasses(values []float64, labels []int, nClasses int) []ClassGroup {
 	return new(ClassScratch).Group(values, labels, nClasses)
 }
 
-// ClassScratch is reusable working memory for ClassScratch.Group: an
-// open-addressed hash table from value to group, the groups' value
-// keys, values and flattened class counts, and the buffer the distinct
-// keys are sorted in.
+// scratchPool lends scratches for grouping whole dataset columns, so
+// callers that group in tight loops — the risk grids encode a column
+// per trial — reuse the hash table instead of growing a fresh one per
+// call.
+var scratchPool = sync.Pool{New: func() any { return new(ClassScratch) }}
+
+// GetClassScratch hands out a pooled scratch; return it with
+// PutClassScratch when done. A fan-out takes one per worker for a
+// whole stage, so it meets the pool once per worker, not per column.
+func GetClassScratch() *ClassScratch { return scratchPool.Get().(*ClassScratch) }
+
+// PutClassScratch returns a scratch to the pool. The caller must not
+// use it after the put.
+func PutClassScratch(s *ClassScratch) { scratchPool.Put(s) }
+
+// AttrGroups returns the value groups of attribute a of d in ascending
+// value order: ClassScratch.ValueGroups over the column, in a pooled
+// scratch.
+func AttrGroups(d *dataset.Dataset, a int) []ValueGroup {
+	s := GetClassScratch()
+	defer PutClassScratch(s)
+	return s.ValueGroups(d.Cols[a], d.Labels, d.NumClasses())
+}
+
+// ClassScratch is reusable working memory for ClassScratch.Group and
+// ClassScratch.ValueGroups: an open-addressed hash table from value to
+// group, the groups' value keys and flattened class counts, and the
+// buffer the distinct keys are sorted in. A group's value is its key's
+// dataset.OrderedValue: the value's own bits, NaN payloads included,
+// with -0.0 folded onto +0.0.
 //
 // Ownership rules (DESIGN.md §5e, §5i): a scratch has one user at a
-// time — fan-outs give each worker its own — and Group overwrites
-// every buffer before reading it, so nothing one call leaves behind
-// reaches the next. The groups Group returns are freshly allocated and
-// never alias the scratch.
+// time — fan-outs give each worker its own, one-off callers take one
+// from the package pool — and every call overwrites every buffer
+// before reading it, so nothing one call leaves behind reaches the
+// next. The groups a call returns are freshly allocated and never
+// alias the scratch.
 type ClassScratch struct {
-	table  []int32   // slot → group index + 1; 0 marks an empty slot
-	keys   []uint64  // group → dataset.OrderedBits of its value
-	vals   []float64 // group → its value, -0.0 folded onto +0.0
-	counts []int     // group g's histogram at [g*nClasses, (g+1)*nClasses)
-	sorted []uint64  // the distinct keys, ascending
-	shift  uint      // 64 - log2(len(table)): slotOf keeps the top bits
+	table  []int32  // slot → group index + 1; 0 marks an empty slot
+	keys   []uint64 // group → dataset.OrderedBits of its value
+	counts []int    // group g's histogram at [g*nClasses, (g+1)*nClasses)
+	sorted []uint64 // the distinct keys, ascending
+	shift  uint     // 64 - log2(len(table)): slotOf keeps the top bits
 }
 
 // initialGroups caps the group count a fresh table is sized for: small
@@ -79,16 +152,46 @@ const initialGroups = 1024
 
 // Group builds the class-count groups of one attribute projection, like
 // GroupClasses, in s's reused buffers. Rows are counted into a hash
-// table keyed on the value's bits in O(rows); only the distinct values
-// are then sorted, in O(distinct · log distinct). Equality is ==: -0.0
-// and +0.0 form one group, whose Value is +0.0. NaNs group by bit
-// pattern and sort by sign past ±Inf — an order the comparison-based
-// split search leaves unspecified.
+// table keyed on the value's dataset.OrderedBits in O(rows); only the
+// distinct keys are then sorted, in O(distinct · log distinct). Equality
+// is ==: -0.0 and +0.0 form one group, whose Value is +0.0. Each NaN
+// bit pattern forms one group, sorted by its sign bit past ±Inf.
 func (s *ClassScratch) Group(values []float64, labels []int, nClasses int) []ClassGroup {
 	if len(values) == 0 {
 		return nil
 	}
-	s.reset(min(len(values), initialGroups))
+	s.count(values, labels, nClasses)
+	out := make([]ClassGroup, len(s.sorted))
+	backing := make([]int, len(s.sorted)*nClasses)
+	for j, k := range s.sorted {
+		g := s.find(k)
+		c := backing[j*nClasses : (j+1)*nClasses : (j+1)*nClasses]
+		copy(c, s.counts[g*nClasses:(g+1)*nClasses])
+		out[j] = ClassGroup{Value: dataset.OrderedValue(k), Counts: c}
+	}
+	return out
+}
+
+// ValueGroups is ValueGroupsOf(s.Group(values, labels, nClasses))
+// without the histograms: the groups are derived straight from the
+// table into one exact-size slice.
+func (s *ClassScratch) ValueGroups(values []float64, labels []int, nClasses int) []ValueGroup {
+	if len(values) == 0 {
+		return nil
+	}
+	s.count(values, labels, nClasses)
+	out := make([]ValueGroup, len(s.sorted))
+	for j, k := range s.sorted {
+		g := s.find(k)
+		out[j] = valueGroup(ClassGroup{Value: dataset.OrderedValue(k), Counts: s.counts[g*nClasses : (g+1)*nClasses]})
+	}
+	return out
+}
+
+// count hashes every row into its group's histogram and leaves the
+// distinct keys in ascending order in s.sorted.
+func (s *ClassScratch) count(values []float64, labels []int, nClasses int) {
+	s.reset(min(len(values), initialGroups), nClasses)
 	for i, v := range values {
 		l := labels[i]
 		if uint(l) >= uint(nClasses) {
@@ -98,28 +201,20 @@ func (s *ClassScratch) Group(values []float64, labels []int, nClasses int) []Cla
 	}
 	s.sorted = append(s.sorted[:0], s.keys...)
 	slices.Sort(s.sorted)
-	out := make([]ClassGroup, len(s.sorted))
-	backing := make([]int, len(s.sorted)*nClasses)
-	for j, k := range s.sorted {
-		g := s.find(k)
-		c := backing[j*nClasses : (j+1)*nClasses : (j+1)*nClasses]
-		copy(c, s.counts[g*nClasses:(g+1)*nClasses])
-		out[j] = ClassGroup{Value: s.vals[g], Counts: c}
-	}
-	return out
 }
 
-// reset empties the scratch and sizes its table for groups distinct
-// values: a power of two at least twice that, so probes stay short.
-func (s *ClassScratch) reset(groups int) {
+// reset empties the scratch and sizes it for groups distinct values:
+// the table to a power of two at least twice that, so probes stay
+// short, and the per-group buffers to hold them all, so a fresh scratch
+// allocates each buffer once instead of growing it value by value.
+func (s *ClassScratch) reset(groups, nClasses int) {
 	size := 8
 	for size < 2*groups {
 		size *= 2
 	}
 	s.resize(size)
-	s.keys = s.keys[:0]
-	s.vals = s.vals[:0]
-	s.counts = s.counts[:0]
+	s.keys = slices.Grow(s.keys[:0], groups)
+	s.counts = slices.Grow(s.counts[:0], groups*nClasses)
 }
 
 // groupOf returns the index of v's group, opening a zeroed group for a
@@ -132,10 +227,6 @@ func (s *ClassScratch) groupOf(v float64, nClasses int) int {
 		if g == 0 {
 			s.table[h] = int32(len(s.keys) + 1)
 			s.keys = append(s.keys, k)
-			if v == 0 {
-				v = 0 // fold -0.0 onto +0.0
-			}
-			s.vals = append(s.vals, v)
 			n := len(s.counts)
 			s.counts = slices.Grow(s.counts, nClasses)[:n+nClasses]
 			clear(s.counts[n:])
@@ -190,26 +281,6 @@ func (s *ClassScratch) slotOf(k uint64) int {
 	return int((k * 0x9e3779b97f4a7c15) >> s.shift)
 }
 
-// MergeClassGroups merges per-shard class-count groups — each slice in
-// ascending value order, as GroupClasses produces — into the groups of
-// the union of the shards. The merge is exact: counts are integers and
-// summing them is order-insensitive, so the result is element-identical
-// to GroupClasses over the concatenated projection.
-func MergeClassGroups(shards [][]ClassGroup) []ClassGroup {
-	return mergeRuns(shards, func(g ClassGroup) float64 { return g.Value }, combineClassGroups)
-}
-
-// combineClassGroups merges two groups of the same value into a fresh
-// histogram (neither input is aliased or mutated).
-func combineClassGroups(x, y ClassGroup) ClassGroup {
-	c := make([]int, len(x.Counts))
-	copy(c, x.Counts)
-	for i, n := range y.Counts {
-		c[i] += n
-	}
-	return ClassGroup{Value: x.Value, Counts: c}
-}
-
 // FlipClassGroups rewrites groups in place into the groups of the
 // negated attribute: ascending order of -v is descending order of v,
 // and negation preserves value ties, so the result is exactly
@@ -223,14 +294,31 @@ func FlipClassGroups(groups []ClassGroup) {
 	}
 }
 
+// classString expands attribute a's class groups into its class
+// string, walking the groups in direction dir (+1 ascending, -1
+// descending).
+func classString(d *dataset.Dataset, a, dir int) []int {
+	s := GetClassScratch()
+	groups := s.Group(d.Cols[a], d.Labels, d.NumClasses())
+	PutClassScratch(s)
+	out := make([]int, 0, len(d.Labels))
+	var it rleIter
+	it.init(groups, dir)
+	for l, n := it.cur(); n > 0; l, n = it.cur() {
+		for range n {
+			out = append(out, l)
+		}
+		it.advance(n)
+	}
+	return out
+}
+
 // DescendingClassStringLess reports whether the attribute's descending
 // class string is lexicographically smaller than its ascending one —
 // the canonical-orientation flip test — read directly off the
-// class-count groups. Ascending expands the groups front to back,
-// descending back to front; within a value both expand classes in
-// ascending label order (the canonical tie order), exactly matching
-// ClassStringOf and ClassStringDescendingOf. The comparison walks both
-// strings as label runs, so it costs O(groups × classes), not O(rows).
+// class-count groups. It walks the same label runs ClassStringOf and
+// ClassStringDescendingOf expand, so it costs O(groups × classes), not
+// O(rows).
 func DescendingClassStringLess(groups []ClassGroup) bool {
 	var desc, asc rleIter
 	desc.init(groups, -1)

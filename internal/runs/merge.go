@@ -1,85 +1,65 @@
 package runs
 
-// Shard-wise profiling: the profile stage's value groups are computed
-// per shard and merged here. Merging is exact, not approximate — the
-// merged groups are element-identical to GroupValues over the globally
-// sorted projection — because every field of ValueGroup admits an
-// order-insensitive combine:
+import "privtree/internal/dataset"
+
+// Shard-wise grouping: the sharded profile stage and BuildSharded's
+// level scan group each shard on its own and merge the per-shard groups
+// here. Merging is exact, not approximate — the merged groups are
+// element-identical to ClassScratch.Group over the concatenated
+// projection — because counts are integers and summing them is
+// order-insensitive. Whatever is derived from the histograms afterwards
+// (ValueGroupsOf, the split scan) is therefore identical too.
 //
-//   - Count sums;
-//   - Label is the class of the first tuple in canonical (value, label)
-//     order, i.e. the minimum label among the value's tuples, and min
-//     distributes over any grouping of the tuples into shards;
-//   - Mono holds iff every shard's group is monochromatic AND they all
-//     agree on the label.
+// The runs are ordered, and equal values found, by dataset.OrderedBits
+// keys: the order Group emits. Comparing the values as floats would
+// make a NaN group equal to every value and fold neighbouring groups
+// into it.
 //
 // The fold proceeds in shard-index order for determinism discipline,
 // though the combine is associative and commutative, so any order
 // would produce the same bytes.
 
-// MergeGroups merges per-shard value groups — each slice sorted by
-// value, as GroupValues/GroupColumn produce — into the groups of the
-// union of the shards. The result is element-identical to running
-// GroupValues over the concatenated, globally sorted projection.
-func MergeGroups(shards [][]ValueGroup) []ValueGroup {
-	return mergeRuns(shards, func(g ValueGroup) float64 { return g.Value }, combine)
-}
-
-// mergeRuns is the sorted-run merge core shared by the group algebras:
-// it folds value-sorted runs in run order, combining elements with
-// equal values. The combine functions are associative and commutative,
-// so the fold order only matters as determinism discipline, not for
-// the bytes produced.
-func mergeRuns[T any](shards [][]T, valueOf func(T) float64, combine func(T, T) T) []T {
-	var acc []T
+// MergeClassGroups merges per-shard class-count groups — each slice in
+// ascending OrderedBits order, as ClassScratch.Group produces — into
+// the groups of the union of the shards. The result is a fresh slice;
+// a group present in one shard only shares its histogram with that
+// shard's input, and combined groups get fresh histograms, so callers
+// treat histograms as read-only.
+func MergeClassGroups(shards [][]ClassGroup) []ClassGroup {
+	var acc []ClassGroup
 	first := true
 	for _, sh := range shards {
 		if len(sh) == 0 {
 			continue
 		}
 		if first {
-			acc = append([]T(nil), sh...)
+			acc = append([]ClassGroup(nil), sh...)
 			first = false
 			continue
 		}
-		acc = mergeTwoRuns(acc, sh, valueOf, combine)
+		out := make([]ClassGroup, 0, len(acc)+len(sh))
+		i, j := 0, 0
+		for i < len(acc) && j < len(sh) {
+			ka, kb := dataset.OrderedBits(acc[i].Value), dataset.OrderedBits(sh[j].Value)
+			switch {
+			case ka < kb:
+				out = append(out, acc[i])
+				i++
+			case kb < ka:
+				out = append(out, sh[j])
+				j++
+			default:
+				c := make([]int, len(acc[i].Counts))
+				for k := range c {
+					c[k] = acc[i].Counts[k] + sh[j].Counts[k]
+				}
+				out = append(out, ClassGroup{Value: acc[i].Value, Counts: c})
+				i++
+				j++
+			}
+		}
+		out = append(out, acc[i:]...)
+		acc = append(out, sh[j:]...)
 	}
 	return acc
-}
-
-// mergeTwoRuns merges two value-sorted runs.
-func mergeTwoRuns[T any](a, b []T, valueOf func(T) float64, combine func(T, T) T) []T {
-	out := make([]T, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case valueOf(a[i]) < valueOf(b[j]):
-			out = append(out, a[i])
-			i++
-		case valueOf(b[j]) < valueOf(a[i]):
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, combine(a[i], b[j]))
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// combine merges two groups of the same value.
-func combine(x, y ValueGroup) ValueGroup {
-	g := ValueGroup{
-		Value: x.Value,
-		Count: x.Count + y.Count,
-		Mono:  x.Mono && y.Mono && x.Label == y.Label,
-		Label: x.Label,
-	}
-	if y.Label < g.Label {
-		g.Label = y.Label
-	}
-	return g
 }

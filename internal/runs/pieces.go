@@ -83,14 +83,11 @@ type Profile struct {
 }
 
 // ProfileAttr computes the Figure 8 profile of attribute a using
-// minWidth as the monochromatic piece threshold. The column is sorted
-// exactly once: the fused GroupColumn path (pooled scratch, no
-// intermediate projection copy) produces the groups, and BasicStats is
-// read off them instead of re-sorting via Dataset.Stats.
+// minWidth as the monochromatic piece threshold. The column is grouped
+// exactly once (AttrGroups), and BasicStats is read off the groups
+// instead of re-sorting via Dataset.Stats.
 func ProfileAttr(d *dataset.Dataset, a, minWidth int) Profile {
-	s := dataset.GetProjScratch()
-	groups := GroupColumn(d, a, s)
-	dataset.PutProjScratch(s)
+	groups := AttrGroups(d, a)
 	pieces := MaxMonoPieces(groups, minWidth)
 	p := Profile{Stats: GroupStats(groups)}
 	for _, pc := range pieces {

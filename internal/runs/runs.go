@@ -3,8 +3,9 @@
 // monochromatic values and maximal monochromatic pieces (Definition 9),
 // and the attribute profile statistics reported in Figure 8.
 //
-// Everything operates on A-projected tuples sorted by value, which is
-// what both the decision-tree split search (Lemma 2) and the piecewise
+// Everything reads one statistic, the per-value class histograms of
+// an attribute (ClassGroup, grouped by ClassScratch), which is what
+// both the decision-tree split search (Lemma 2) and the piecewise
 // transformation framework (Section 5) consume.
 package runs
 
@@ -15,8 +16,9 @@ import (
 	"privtree/internal/dataset"
 )
 
-// ValueGroup aggregates the projected tuples sharing one distinct value
-// of an attribute.
+// ValueGroup summarizes the projected tuples sharing one distinct value
+// of an attribute for the choose and draw stages. It is a function of
+// the value's ClassGroup (ValueGroupsOf).
 type ValueGroup struct {
 	// Value is the shared attribute value.
 	Value float64
@@ -30,67 +32,10 @@ type ValueGroup struct {
 	Label int
 }
 
-// GroupValues collapses a value-sorted projection into one ValueGroup per
-// distinct value. The input must be sorted by value (ties in any order).
-func GroupValues(proj []dataset.ProjectedTuple) []ValueGroup {
-	var out []ValueGroup
-	for _, p := range proj {
-		if n := len(out); n > 0 && out[n-1].Value == p.Value {
-			g := &out[n-1]
-			g.Count++
-			if p.Label != g.Label {
-				g.Mono = false
-			}
-			continue
-		}
-		out = append(out, ValueGroup{Value: p.Value, Count: 1, Mono: true, Label: p.Label})
-	}
-	return out
-}
-
-// GroupColumn is the fused profile fast path: it computes
-// GroupValues(d.SortedProjection(a)) without either per-call
-// allocation — the projection is sorted inside s's reused buffers and
-// the groups go into an exactly-sized slice (a counting pre-pass over
-// the sorted projection replaces append growth). The returned groups
-// are freshly allocated and alias nothing; the scratch is free for the
-// next column as soon as GroupColumn returns.
-func GroupColumn(d *dataset.Dataset, a int, s *dataset.ProjScratch) []ValueGroup {
-	return groupSorted(d.SortedProjectionInto(a, s))
-}
-
-// groupSorted is GroupValues over a value-sorted projection with an
-// exact-size output allocation. Element-identical to GroupValues on
-// the same input.
-func groupSorted(proj []dataset.ProjectedTuple) []ValueGroup {
-	if len(proj) == 0 {
-		return nil
-	}
-	distinct := 1
-	for i := 1; i < len(proj); i++ {
-		if proj[i].Value != proj[i-1].Value {
-			distinct++
-		}
-	}
-	out := make([]ValueGroup, 0, distinct)
-	for _, p := range proj {
-		if n := len(out); n > 0 && out[n-1].Value == p.Value {
-			g := &out[n-1]
-			g.Count++
-			if p.Label != g.Label {
-				g.Mono = false
-			}
-			continue
-		}
-		out = append(out, ValueGroup{Value: p.Value, Count: 1, Mono: true, Label: p.Label})
-	}
-	return out
-}
-
 // GroupStats computes dataset.BasicStats from an attribute's value
 // groups — the same statistics Dataset.Stats derives from a fresh
-// ActiveDomain sort, but read off the already-sorted groups so the
-// profile stage sorts each column exactly once.
+// ActiveDomain sort, but read off the already-grouped values so the
+// profile stage groups each column exactly once.
 func GroupStats(groups []ValueGroup) dataset.BasicStats {
 	if len(groups) == 0 {
 		return dataset.BasicStats{}
@@ -117,19 +62,12 @@ func GroupStats(groups []ValueGroup) dataset.BasicStats {
 	return s
 }
 
-// ClassString returns σ_A: the sequence of class labels of the
-// projection sorted by value with canonical tie order (Definition 6).
-func ClassString(proj []dataset.ProjectedTuple) []int {
-	out := make([]int, len(proj))
-	for i, p := range proj {
-		out[i] = p.Label
-	}
-	return out
-}
-
-// ClassStringOf computes σ_{A,D} for attribute a of d.
+// ClassStringOf computes σ_{A,D} for attribute a of d: the class
+// labels in ascending value order, with equal values listing their
+// labels ascending (Definition 6's canonical tie order). It expands
+// the attribute's class-count groups front to back.
 func ClassStringOf(d *dataset.Dataset, a int) []int {
-	return ClassString(d.SortedProjection(a))
+	return classString(d, a, +1)
 }
 
 // Format renders a class string using the dataset's class names, taking
@@ -152,24 +90,10 @@ func Format(classString []int, classNames []string) string {
 // order within blocks of equal values. This is the class string an
 // anti-monotone transformation produces (Lemma 1): σ^R up to tie
 // canonicalization, because equal values collapse onto one transformed
-// value and retain the canonical tie order.
+// value and retain the canonical tie order. It expands the attribute's
+// class-count groups back to front.
 func ClassStringDescendingOf(d *dataset.Dataset, a int) []int {
-	proj := d.SortedProjection(a)
-	out := make([]int, 0, len(proj))
-	// Walk blocks of equal values back to front, preserving each
-	// block's internal order.
-	end := len(proj)
-	for end > 0 {
-		start := end - 1
-		for start > 0 && proj[start-1].Value == proj[end-1].Value {
-			start--
-		}
-		for i := start; i < end; i++ {
-			out = append(out, proj[i].Label)
-		}
-		end = start
-	}
-	return out
+	return classString(d, a, -1)
 }
 
 // Reverse returns σ^R, the reverse of a class string, which is what an

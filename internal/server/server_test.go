@@ -119,6 +119,7 @@ func TestHandlerBattery(t *testing.T) {
 	// A structurally valid key over a different schema (1 attribute) —
 	// the key-mismatch case.
 	fig1CSV := datasetCSV(t, synth.Figure1())
+	infCSV := "x,class\n1,a\n+Inf,b\n"
 
 	decodeBody := func(m map[string]any) string {
 		b, err := json.Marshal(m)
@@ -359,6 +360,18 @@ func TestHandlerBattery(t *testing.T) {
 		{name: "verify missing key param", method: "POST", target: "/v1/verify", tenant: "acme", body: csv1, wantStatus: 400},
 		{name: "verify unknown key", method: "POST", target: "/v1/verify?key=ghost", tenant: "acme", body: csv1, wantStatus: 404},
 		{name: "verify malformed body", method: "POST", target: "/v1/verify?key=dkey", tenant: "acme", body: "x", wantStatus: 400},
+
+		// --- relations whose split midpoint does not separate --------
+		// Both routes mine the request body; a split between 1 and +Inf
+		// must end, not recurse until the daemon's stack overflows.
+		{name: "encode one-attribute key", method: "POST", target: "/v1/encode?key=onex&seed=1", tenant: "acme", body: "x,class\n1,a\n2,b\n3,a\n4,b\n", wantStatus: 200},
+		{name: "verify infinite value", method: "POST", target: "/v1/verify?key=onex", tenant: "acme", body: infCSV, wantStatus: 200, wantInBody: "+Inf falls in no piece"},
+		{
+			name: "decode infinite value", method: "POST",
+			target: "/v1/decode?key=onex", tenant: "acme",
+			body:       decodeBody(map[string]any{"encoded_csv": infCSV, "orig_csv": infCSV}),
+			wantStatus: 200, wantInBody: `"depth":1,"same_outcome":true`,
+		},
 	}
 
 	for _, tc := range cases {

@@ -75,7 +75,9 @@ func Build(d *dataset.Dataset, cfg Config) (*Tree, error) {
 
 // unflip rewrites a tree mined in canonical orientation back into the
 // data's own orientation: nodes on flipped attributes negate their
-// threshold and swap children ("-v <= t" is "v >= -t").
+// threshold and swap children ("-v <= t" is "v >= -t"). Such nodes hold
+// the split's mirror (split.nodeThreshold), so the negated threshold
+// separates the same rows.
 func unflip(n *Node, flipped []bool) {
 	if n == nil || n.Leaf {
 		return
@@ -273,7 +275,7 @@ func (b *builder) grow(sc *growScratch, lo, hi int, counts []int, dep int) *Node
 		}
 		return node
 	}
-	node.Threshold = best.threshold
+	node.Threshold = best.nodeThreshold(b.flipped[best.attr])
 	mid, left, right := b.splitBinary(sc, best.attr, best.threshold, lo, hi, counts)
 	b.growChild(sc, &node.Left, lo, mid, left, dep+1)
 	b.growChild(sc, &node.Right, mid, hi, right, dep+1)
@@ -305,8 +307,8 @@ func (b *builder) growChild(sc *growScratch, slot **Node, lo, hi int, counts []i
 // splitBinary applies the numeric split "value <= t" on attribute a to
 // [lo, hi), and returns the boundary mid between the children's ranges
 // and both children's class counts. Rows route by the threshold, as
-// Predict and BuildSharded route them, not by the scan's boundary: a
-// midpoint can round onto the upper value, and NaN never goes low.
+// Predict and BuildSharded route them, not by the scan's boundary: NaN
+// never goes low.
 func (b *builder) splitBinary(sc *growScratch, a int, t float64, lo, hi int, counts []int) (mid int, left, right []int) {
 	nc := b.nClasses
 	kids := make([]int, 2*nc)

@@ -25,19 +25,18 @@ func buildReference(d *dataset.Dataset, cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("%w: %w", ErrEmptyData, dataset.ErrNoAttributes)
 	}
 	cfg = cfg.withDefaults()
-	var flipped []bool
+	flipped := make([]bool, d.NumAttrs())
 	if cfg.Orientation == OrientationCanonical {
 		d, flipped = canonicalOrientation(d)
 	}
 	b := newRefBuilder(d, cfg)
+	b.flipped = flipped
 	idx := make([]int, d.NumTuples())
 	for i := range idx {
 		idx[i] = i
 	}
 	root := b.grow(b.orders, idx, 0)
-	if flipped != nil {
-		unflip(root, flipped)
-	}
+	unflip(root, flipped)
 	return &Tree{
 		Root:       root,
 		AttrNames:  append([]string(nil), d.AttrNames...),
@@ -86,6 +85,8 @@ func canonicalOrientation(d *dataset.Dataset) (*dataset.Dataset, []bool) {
 type refBuilder struct {
 	d   *dataset.Dataset
 	cfg Config
+	// flipped marks the attributes canonical orientation negated.
+	flipped []bool
 	// workers is the resolved fan-out width of the split search.
 	workers int
 	// orders holds, per numeric attribute, every tuple index sorted by
@@ -180,7 +181,7 @@ func (b *refBuilder) grow(lists [][]int, idx []int, dep int) *Node {
 		}
 		return node
 	}
-	node.Threshold = best.threshold
+	node.Threshold = best.nodeThreshold(b.flipped[best.attr])
 	for _, i := range idx {
 		if col[i] <= best.threshold {
 			b.side[i] = 0
@@ -317,8 +318,8 @@ func (b *refBuilder) attrBest(a int, order []int, idx []int, counts []int, paren
 		if nLeft < b.cfg.MinLeaf || total-nLeft < b.cfg.MinLeaf {
 			continue
 		}
-		threshold := (v + col[order[k]]) / 2
-		if threshold != threshold {
+		next := col[order[k]]
+		if v != v || next != next {
 			continue // a NaN neighbour: no threshold separates the groups
 		}
 		// Lemma 2: a boundary strictly inside a label run — both
@@ -346,7 +347,8 @@ func (b *refBuilder) attrBest(a int, order []int, idx []int, counts []int, paren
 		}
 		cand := split{
 			attr:      a,
-			threshold: threshold,
+			threshold: splitThreshold(v, next),
+			mirror:    -splitThreshold(-next, -v),
 			gain:      gain,
 			boundary:  boundary,
 		}

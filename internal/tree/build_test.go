@@ -153,8 +153,8 @@ var fuzzAlphabet = []float64{
 // configuration. Five header bytes choose the attribute count (1–4),
 // the class count (2–4), the criterion, orientation, full scan and
 // whether attribute 0 is categorical, MinLeaf (1–8) and MaxDepth
-// (1–6, or unbounded); every further attrs+1 bytes are one row (values indexing
-// fuzzAlphabet, then the label), up to 200 rows.
+// (1–6, or 0 for unbounded); every further attrs+1 bytes are one row
+// (values indexing fuzzAlphabet, then the label), up to 200 rows.
 func fuzzRelation(data []byte) (*dataset.Dataset, Config, bool) {
 	if len(data) < 5 {
 		return nil, Config{}, false
@@ -168,14 +168,6 @@ func fuzzRelation(data []byte) (*dataset.Dataset, Config, bool) {
 		FullSplitScan: h[2]>>3&1 == 1,
 		MinLeaf:       1 + int(h[3]%8),
 		MaxDepth:      int(h[4] % 7),
-	}
-	if cfg.MaxDepth == 0 {
-		// Unbounded in effect: a build whose every split separates rows
-		// is at most 199 deep over 200 rows. The bound stops the builds
-		// that never end — a split next to +Inf, or between values whose
-		// midpoint overflows, routes every row low, and every builder
-		// then splits the same rows again at each depth.
-		cfg.MaxDepth = 200
 	}
 	categorical := h[2]>>4&1 == 1
 	attrNames := make([]string, attrs)
@@ -204,6 +196,66 @@ func fuzzRelation(data []byte) (*dataset.Dataset, Config, bool) {
 		data = data[attrs+1:]
 	}
 	return d, cfg, d.NumTuples() > 0
+}
+
+// TestBuildNonSeparatingMidpoints mines two-row relations whose
+// midpoint does not separate the rows — adjacent floats, whose
+// midpoint rounds onto the upper value; values whose sum overflows;
+// infinities; a negative zero below +Inf, whose threshold is the zero
+// itself — with the upper row first or last, so canonical orientation
+// negates the attribute in one of them. Every builder must split once,
+// at depth 1, on a threshold that sends each row to its own leaf, and
+// the builders must agree. The first row carries class 0 because shard
+// sinks number classes in order of first appearance.
+func TestBuildNonSeparatingMidpoints(t *testing.T) {
+	for _, pair := range [][2]float64{
+		{1.0000000000000002, 1.0000000000000004},
+		{1e308, math.MaxFloat64},
+		{1, math.Inf(1)},
+		{math.Inf(-1), math.Inf(1)},
+		{math.Copysign(0, -1), math.Inf(1)},
+	} {
+		for _, rows := range [][2]float64{pair, {pair[1], pair[0]}} {
+			d := dataset.New([]string{"x"}, []string{"a", "b"})
+			for label, v := range rows {
+				if err := d.Append([]float64{v}, label); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var want []byte
+			var wantBits uint64
+			check := func(builder string, tr *Tree, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("rows %v: %s: %v", rows, builder, err)
+				}
+				if tr.Depth() != 1 || tr.NumLeaves() != 2 {
+					t.Fatalf("rows %v: %s: depth %d with %d leaves, want one split", rows, builder, tr.Depth(), tr.NumLeaves())
+				}
+				for label, v := range rows {
+					if got := tr.Predict([]float64{v}); got != label {
+						t.Fatalf("rows %v: %s: threshold %v routes %v to class %d, want %d",
+							rows, builder, tr.Root.Threshold, v, got, label)
+					}
+				}
+				// The wire form omits a zero threshold, so its sign is
+				// compared by bits.
+				if b, bits := treeBytes(tr), math.Float64bits(tr.Root.Threshold); want == nil {
+					want, wantBits = b, bits
+				} else if !bytes.Equal(b, want) || bits != wantBits {
+					t.Fatalf("rows %v: %s differs from Build:\n got %s threshold %#x\nwant %s threshold %#x", rows, builder, b, bits, want, wantBits)
+				}
+			}
+			for _, w := range []int{1, 2} {
+				tr, err := Build(d, Config{Workers: w})
+				check(fmt.Sprintf("Build workers=%d", w), tr, err)
+			}
+			tr, err := BuildSharded(writeShardedTree(t, d, t.TempDir(), dataset.FormatBin, 2), Config{})
+			check("BuildSharded", tr, err)
+			ref, err := buildReference(d, Config{})
+			check("buildReference", ref, err)
+		}
+	}
 }
 
 // FuzzBuild checks Build against the reference builder on small

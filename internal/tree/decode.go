@@ -73,9 +73,10 @@ func decodeMultiway(n *Node, ak *transform.AttributeKey) {
 // f^{-1} alone cannot tell which side of the reshuffled values a
 // deep-node threshold belongs to. The custodian resolves it the way
 // Theorem 2 intends: route the original tuples through T' via f, observe
-// which tuples the split sends left, and set the decoded threshold to
-// the midpoint of the gap between the two sides in the original domain —
-// precisely the threshold the miner would have chosen on D.
+// which tuples the split sends left, and set the decoded threshold in
+// the gap between the two sides in the original domain, by the rule the
+// miner picks thresholds with (splitThreshold) — precisely the threshold
+// the miner would have chosen on D.
 func DecodeWithData(t *Tree, key *transform.Key, d *dataset.Dataset) (*Tree, error) {
 	if len(key.Attrs) != len(t.AttrNames) {
 		return nil, fmt.Errorf("tree: key has %d attributes, tree has %d: %w", len(key.Attrs), len(t.AttrNames), transform.ErrKeyMismatch)
@@ -160,7 +161,7 @@ func decodeNodeWithData(n *Node, key *transform.Key, d *dataset.Dataset, idx []i
 			return fmt.Errorf("tree: split on %s does not separate the original domain (max low %v >= min high %v)",
 				attrNameOf(d, n.Attr), maxLow, minHigh)
 		}
-		n.Threshold = (maxLow + minHigh) / 2
+		n.Threshold = splitThreshold(maxLow, minHigh)
 		if ak.Anti {
 			n.Left, n.Right = n.Right, n.Left
 		}

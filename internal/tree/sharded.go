@@ -24,8 +24,7 @@ import (
 //     the running left/right distributions and impurities), the
 //     minimum present label (the "first tuple" of the group in
 //     canonical order), label purity, and the group's value (for the
-//     midpoint threshold). All of these read directly off a
-//     runs.ClassGroup.
+//     threshold). All of these read directly off a runs.ClassGroup.
 //   - The histograms merge exactly across shards (integer counts sum),
 //     so per-shard sorted group runs folded with runs.MergeClassGroups
 //     are element-identical to the groups of the whole relation — and
@@ -196,7 +195,7 @@ func (b *shardedBuilder) build() (*Node, error) {
 				continue
 			}
 			n.Attr = best.attr
-			n.Threshold = best.threshold
+			n.Threshold = best.nodeThreshold(b.flipped[best.attr])
 			n.Left = &Node{}
 			n.Right = &Node{}
 			rn.attr, rn.threshold, rn.left = best.attr, best.threshold, len(b.route)
@@ -402,27 +401,9 @@ func (s *splitScan) groups(a int, groups []runs.ClassGroup) bool {
 		if k == len(groups)-1 {
 			break
 		}
-		label, pure := groupLabelPure(g.Counts)
-		nextLabel, nextPure := groupLabelPure(groups[k+1].Counts)
+		label, pure := runs.LabelMono(g.Counts)
+		nextLabel, nextPure := runs.LabelMono(groups[k+1].Counts)
 		s.boundary(g.Value, groups[k+1].Value, label, pure, nextLabel, nextPure)
 	}
 	return s.found
-}
-
-// groupLabelPure returns the minimum class with a nonzero count — the
-// label of the group's first tuple in canonical (value, label) order —
-// and whether the group is label-pure.
-func groupLabelPure(counts []int) (label int, pure bool) {
-	label = -1
-	nonzero := 0
-	for c, n := range counts {
-		if n == 0 {
-			continue
-		}
-		if label < 0 {
-			label = c
-		}
-		nonzero++
-	}
-	return label, nonzero == 1
 }

@@ -282,40 +282,55 @@ func TestBuildShardedSignedZeros(t *testing.T) {
 // NaNs of both signs and two payloads with -0.0 and +0.0, in a column
 // canonical orientation negates. Both builders group values by
 // dataset.OrderedBits key — one group per NaN bit pattern, sorted past
-// the infinities by sign — and route NaN to the high side.
+// the infinities by sign — and route NaN to the high side. NaN confined
+// to one shard is the case the per-level merge must keep apart: its
+// groups meet the other shards' groups of ordinary values there.
 func TestBuildShardedNaN(t *testing.T) {
 	const n = 900
-	d := signedZeroFixture(t, n)
 	nans := []float64{math.NaN(), math.Copysign(math.NaN(), -1), math.Float64frombits(0x7ff8000000000001)}
-	for i := 1; i < n; i += 7 {
-		d.Cols[0][i] = nans[(i/7)%len(nans)]
-	}
-	cfg := Config{MinLeaf: 5}
-	var want []byte
-	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		tr, err := Build(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mustMarshal(t, tr)
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: in-memory tree differs from workers=1", workers)
-		}
-	}
-	for _, shards := range []int{1, 3} {
-		src := writeShardedTree(t, d, t.TempDir(), dataset.FormatBin, (n+shards-1)/shards)
-		for _, workers := range []int{1, 4} {
-			cfg.Workers = workers
-			tr, err := BuildSharded(src, cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		attr   int
+		lo, hi int // every 7th row of [lo, hi) holds NaN
+		nans   []float64
+	}{
+		{"every shard, three patterns", 0, 1, n, nans},
+		{"positive NaN on z in shard 1", 0, 300, 600, nans[:1]},
+		{"negative NaN on w in shard 2", 1, 600, 900, nans[1:2]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := signedZeroFixture(t, n)
+			for i := c.lo; i < c.hi; i += 7 {
+				d.Cols[c.attr][i] = c.nans[(i/7)%len(c.nans)]
 			}
-			if !bytes.Equal(mustMarshal(t, tr), want) {
-				t.Fatalf("shards=%d workers=%d: sharded tree differs from in-memory", shards, workers)
+			cfg := Config{MinLeaf: 5}
+			var want []byte
+			for _, workers := range []int{1, 4} {
+				cfg.Workers = workers
+				tr, err := Build(d, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := mustMarshal(t, tr)
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d: in-memory tree differs from workers=1", workers)
+				}
 			}
-		}
+			for _, shards := range []int{1, 3} {
+				src := writeShardedTree(t, d, t.TempDir(), dataset.FormatBin, (n+shards-1)/shards)
+				for _, workers := range []int{1, 4} {
+					cfg.Workers = workers
+					tr, err := BuildSharded(src, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(mustMarshal(t, tr), want) {
+						t.Fatalf("shards=%d workers=%d: sharded tree differs from in-memory", shards, workers)
+					}
+				}
+			}
+		})
 	}
 }

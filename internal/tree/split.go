@@ -32,7 +32,8 @@ func stopNode(cfg Config, counts []int, n, dep int) bool {
 // split describes a candidate split and its tie-breaking features.
 type split struct {
 	attr      int
-	threshold float64
+	threshold float64 // rows with value <= threshold go low
+	mirror    float64 // the threshold's counterpart under negation
 	multiway  bool
 	cats      []int // category codes (ascending) of a multiway split
 	gain      float64
@@ -73,6 +74,40 @@ func lexLess(a, b []int) bool {
 		}
 	}
 	return false
+}
+
+// splitThreshold returns the threshold of the boundary between
+// adjacent groups with values v < next: the midpoint when it separates
+// them, v <= mid < next, and v otherwise. Rows route by value <=
+// threshold, and the midpoint falls outside [v, next) when it rounds
+// onto next (adjacent floats), overflows to ±Inf, or is NaN (v = -Inf,
+// next = +Inf); at or above next both groups would go low, and the low
+// child would split the same rows again without end. A zero v comes
+// back as +0.0: -0.0 and +0.0 are one group, and the builders see its
+// value with either sign.
+func splitThreshold(v, next float64) float64 {
+	if mid := (v + next) / 2; v <= mid && mid < next {
+		return mid
+	}
+	if v == 0 {
+		return 0
+	}
+	return v
+}
+
+// nodeThreshold returns the threshold a tree node keeps for s. On an
+// attribute canonical orientation negated, unflip negates the node's
+// threshold, and the mined boundary between v and next becomes the
+// boundary between -next and -v, so the node keeps the mirror:
+// -splitThreshold(-next, -v). Rounding is symmetric under negation, so
+// the mirror equals the threshold whenever the midpoint separates; it
+// differs only where the fallback picked v, which -v would send to the
+// wrong side.
+func (s *split) nodeThreshold(flipped bool) float64 {
+	if flipped {
+		return s.mirror
+	}
+	return s.threshold
 }
 
 // better reports whether s should be preferred over t under the
@@ -155,8 +190,7 @@ func (s *splitScan) boundary(v, next float64, label int, pure bool, nextLabel in
 	if nLeft < s.cfg.MinLeaf || nRight < s.cfg.MinLeaf {
 		return
 	}
-	threshold := (v + next) / 2
-	if threshold != threshold {
+	if v != v || next != next {
 		return // a NaN neighbour: no threshold separates the groups
 	}
 	// Lemma 2: a boundary strictly inside a label run — both adjacent
@@ -189,7 +223,8 @@ func (s *splitScan) boundary(v, next float64, label int, pure bool, nextLabel in
 	}
 	cand := split{
 		attr:      s.attr,
-		threshold: threshold,
+		threshold: splitThreshold(v, next),
+		mirror:    -splitThreshold(-next, -v),
 		gain:      gain,
 		boundary:  s.boundaries,
 		sig:       binarySignature(s.sig[:0], s.left, s.right),
