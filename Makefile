@@ -3,16 +3,17 @@
 
 GO ?= go
 
-.PHONY: all build test race stress bench bench-parallel bench-check experiments examples fmt fmt-check vet clean check fuzz-smoke cover verify obs-smoke shard-smoke privtreed-smoke
+.PHONY: all build test race stress bench bench-parallel bench-check bench-module experiments examples fmt fmt-check vet clean check fuzz-smoke cover verify obs-smoke shard-smoke privtreed-smoke
 
 all: build test
 
 # The full local gate, mirroring .github/workflows/ci.yml: build, vet,
-# gofmt, race-enabled tests, the sharded-encode byte-identity smoke, the
-# privtreed daemon smoke, and a short parallel-benchmark smoke run (the
-# smoke writes its JSON to a scratch file so the committed
-# BENCH_parallel.json keeps its full-length numbers).
-check: build vet fmt-check race obs-smoke shard-smoke privtreed-smoke
+# gofmt, race-enabled tests, the bench module's vet and tests, the
+# sharded-encode byte-identity smoke, the privtreed daemon smoke, and a
+# short parallel-benchmark smoke run (the smoke writes its JSON to a
+# scratch file so the committed BENCH_parallel.json keeps its
+# full-length numbers).
+check: build vet fmt-check race bench-module obs-smoke shard-smoke privtreed-smoke
 	BENCH_OUT="$$(mktemp)" ./scripts/bench_parallel.sh 1x
 
 # Daemon smoke: start privtreed on an ephemeral port and prove the HTTP
@@ -60,6 +61,13 @@ stress:
 
 bench:
 	$(GO) test -run xxx -bench=. -benchmem ./...
+
+# bench/ is its own module that calls internal APIs through a replace
+# directive, so the root module's build does not compile it: vet and
+# test it here, and a change to an API it uses fails the gate instead
+# of the benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Runs the workers=1 vs workers=4 benchmarks and writes
 # BENCH_parallel.json (name, ns/op, workers, speedup vs serial, and

@@ -513,7 +513,7 @@ func BenchmarkShardedEncode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				key, err := BuildKeySharded(src, opts, int64(i))
+				key, err := BuildKey(src, opts, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -594,7 +594,7 @@ func BenchmarkBinaryShardedEncode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				key, err := BuildKeySharded(src, opts, int64(i))
+				key, err := BuildKey(src, opts, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -635,7 +635,7 @@ func BenchmarkShardedMine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := MineSharded(src, cfg); err != nil {
+				if _, err := Mine(src, cfg); err != nil {
 					b.Fatal(err)
 				}
 				src.Close()

@@ -1,25 +1,25 @@
 // Command privtree is the custodian's command-line workflow around the
-// privtree library:
+// privtree library. Every data input is a relation, given either as a
+// CSV file (-in, -orig), read into memory, or as a sharded set
+// (-manifest, -enc-manifest; see datagen -shards), processed out of
+// core shard by shard. Each subcommand runs one flow over either form,
+// and its output is byte-identical for both, at any shard count and
+// -workers setting.
 //
 //	privtree encode (-in train.csv | -manifest train.manifest.json) -out encoded.csv -key key.json [-strategy maxmp] [-w 20] [-seed 7] [-workers 4]
 //	    Transform a training data set with a fresh piecewise key. Ship
-//	    encoded.csv to the mining service; keep key.json private. With
-//	    -manifest the input is a sharded set (see datagen -shards) and
-//	    encoding runs out-of-core, shard by shard, producing bytes
-//	    identical to the in-memory path at any -workers setting.
+//	    encoded.csv to the mining service; keep key.json private.
 //
 //	privtree mine (-in encoded.csv | -manifest encoded.manifest.json) [-out tree.json] [-criterion gini] [-minleaf 1] [-maxdepth 0] [-workers 4]
 //	    Mine a decision tree (what the service provider runs; it sees
 //	    only encoded values). With -out, write the tree as JSON — the
-//	    artifact the service ships back to the custodian. With -manifest
-//	    the input is a sharded set and induction runs out-of-core, one
-//	    scan of the shards per tree level, producing a tree
-//	    byte-identical to the in-memory path at any -workers setting.
+//	    artifact the service ships back to the custodian.
 //
 //	privtree decode (-tree tree.json | -in encoded.csv | -enc-manifest encoded.manifest.json) (-orig train.csv | -manifest train.manifest.json) -key key.json [...]
-//	    Decode the service's tree (or re-mine the encoded data — with
-//	    -enc-manifest, out-of-core) into the original attribute space —
-//	    exactly the tree direct mining would produce.
+//	    Decode the service's tree (or re-mine the encoded data) into the
+//	    original attribute space with the original data, which is held
+//	    in memory, and report whether it is identical to direct mining,
+//	    as Theorem 2 guarantees.
 //
 //	privtree convert -manifest set.manifest.json -out prefix -format (csv|bin)
 //	    Rewrite a sharded set between the CSV and binary shard formats.
@@ -37,9 +37,9 @@
 //	privtree verify (-in train.csv | -manifest train.manifest.json) -key key.json [tree flags]
 //	privtree verify -rand [-trials 25] [-strategy all] [-workers 8] [-seed 1]
 //	    Run the conformance battery: check a concrete key's structural
-//	    invariants and the no-outcome-change guarantee against its data,
-//	    or (-rand) sweep randomized synthetic workloads through both
-//	    breakpoint procedures as a self-test.
+//	    invariants and, once they hold, the no-outcome-change guarantee
+//	    against its data, or (-rand) sweep randomized synthetic workloads
+//	    through both breakpoint procedures as a self-test.
 package main
 
 import (
@@ -48,13 +48,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"privtree"
 	"privtree/internal/dataset"
 	"privtree/internal/obs"
 	"privtree/internal/obs/export"
 	"privtree/internal/pipeline"
+	"privtree/internal/tree"
 )
 
 // usageError marks a command-line usage mistake: missing required flags,
@@ -117,19 +117,11 @@ func cmdConvert(args []string) (err error) {
 	manifest := fs.String("manifest", "", "input sharded manifest JSON")
 	out := fs.String("out", "", "output path prefix for the converted shard files and manifest")
 	format := fs.String("format", "", "target shard format: csv or bin")
-	var oc obs.CLI
-	oc.Register(fs)
-	fs.Parse(args)
-	defer func() {
-		if e := oc.Finish(os.Stderr); err == nil {
-			err = e
-		}
-	}()
-	stopObs, e := obsStart(&oc)
-	if e != nil {
-		return e
+	finish, err := parseFlags(fs, args)
+	if err != nil {
+		return err
 	}
-	defer stopObs()
+	defer finish(&err)
 	if *manifest == "" || *out == "" {
 		return usageError{"convert needs -manifest, -out and -format"}
 	}
@@ -149,29 +141,36 @@ func cmdConvert(args []string) (err error) {
 	return nil
 }
 
-// obsStart finalizes the observability flags of a parsed subcommand:
-// it starts collection/logging/profiling and, with -obs-listen, the
-// live obs HTTP server. Defer the returned stop before the deferred
-// oc.Finish so the server (and its -obs-linger window) shuts down
-// while the registry is still collecting.
-func obsStart(oc *obs.CLI) (stop func(), err error) {
-	if err := oc.Start(); err != nil {
+// parseFlags registers the observability flags on fs, parses args, and
+// starts collection, logging and profiling and, with -obs-listen, the
+// live obs HTTP server. Defer the returned finish with the
+// subcommand's error: it shuts the server (and its -obs-linger window)
+// down while the registry is still collecting, then writes the obs
+// reports, keeping the first error.
+func parseFlags(fs *flag.FlagSet, args []string) (finish func(*error), err error) {
+	oc := new(obs.CLI)
+	oc.Register(fs)
+	fs.Parse(args)
+	stop := func() {}
+	if err = oc.Start(); err == nil {
+		stop, err = export.StartCLI(oc)
+	}
+	if err != nil {
+		oc.Finish(os.Stderr)
 		return nil, err
 	}
-	return export.StartCLI(oc)
+	return func(errp *error) {
+		stop()
+		if e := oc.Finish(os.Stderr); *errp == nil {
+			*errp = e
+		}
+	}, nil
 }
 
 // strategyFlag parses the breakpoint strategy names.
 func strategyFlag(s string) (opt privtree.EncodeOptions, err error) {
-	switch s {
-	case "none":
-		opt.Strategy = privtree.StrategyNone
-	case "bp":
-		opt.Strategy = privtree.StrategyBP
-	case "maxmp":
-		opt.Strategy = privtree.StrategyMaxMP
-	default:
-		err = usageError{fmt.Sprintf("unknown strategy %q (none, bp, maxmp)", s)}
+	if opt.Strategy, err = pipeline.ParseStrategy(s); err != nil {
+		err = usageError{err.Error()}
 	}
 	return opt, err
 }
@@ -188,19 +187,11 @@ func cmdEncode(args []string) (err error) {
 	seed := fs.Int64("seed", 1, "random seed")
 	chunk := fs.Int("chunk", 0, "tuples per streamed output block (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = default); output is identical at any setting")
-	var oc obs.CLI
-	oc.Register(fs)
-	fs.Parse(args)
-	defer func() {
-		if e := oc.Finish(os.Stderr); err == nil {
-			err = e
-		}
-	}()
-	stopObs, e := obsStart(&oc)
-	if e != nil {
-		return e
+	finish, err := parseFlags(fs, args)
+	if err != nil {
+		return err
 	}
-	defer stopObs()
+	defer finish(&err)
 	if (*in == "") == (*manifest == "") || *out == "" || *keyPath == "" {
 		return usageError{"encode needs -out, -key and exactly one of -in or -manifest"}
 	}
@@ -211,91 +202,68 @@ func cmdEncode(args []string) (err error) {
 	opts.Breakpoints = *w
 	opts.MinPieceWidth = *minWidth
 	opts.Workers = *workers
-	if *manifest != "" {
-		return encodeSharded(*manifest, *out, *keyPath, opts, *seed, *chunk, *workers)
-	}
-	d, err := privtree.ReadCSVFile(*in)
+	rel, err := openRelation(*in, *manifest)
 	if err != nil {
 		return err
 	}
-	key, err := privtree.BuildKey(d, opts, *seed)
+	key, err := privtree.BuildKey(rel, opts, *seed)
 	if err != nil {
 		return err
 	}
 	if err := privtree.SaveKey(key, *keyPath); err != nil {
 		return err
 	}
-	// Stream the transformed data out block-wise: the key is built, so
-	// the apply stage never needs the encoded relation in memory.
-	outSchema, err := pipeline.OutputSchema(key, d.Schema())
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	sink := dataset.NewCSVSink(f, outSchema)
-	if err := pipeline.ApplyStream(context.Background(), key, dataset.NewDatasetSource(d), sink, *chunk, *workers); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := encodeFile(*out, key, rel, *chunk, *workers); err != nil {
 		return err
 	}
 	fmt.Printf("encoded %d tuples × %d attributes → %s (key: %s)\n",
-		d.NumTuples(), d.NumAttrs(), *out, *keyPath)
+		rel.NumTuples(), rel.Schema().NumAttrs(), *out, *keyPath)
 	return nil
 }
 
-// encodeSharded is the out-of-core encode: the key is built by the
-// two-pass streaming profile and the data transformed shard-by-shard,
-// so memory stays bounded by shard size × workers. The output CSV and
-// key are byte-identical to the in-memory path on the same rows and
-// seed.
-func encodeSharded(manifestPath, out, keyPath string, opts privtree.EncodeOptions, seed int64, chunk, workers int) error {
-	src, err := privtree.OpenSharded(manifestPath)
+// openRelation turns the input flags into a Relation: a CSV file read
+// into memory, or a sharded set opened out of core. It is the one place
+// the CLI chooses between the two; every operation after it takes the
+// Relation and picks its kernel from it. Exactly one path must be set
+// (the caller checks).
+func openRelation(csvPath, manifestPath string) (privtree.Relation, error) {
+	if manifestPath != "" {
+		src, err := privtree.OpenSharded(manifestPath)
+		if err != nil {
+			return nil, err
+		}
+		return src, nil
+	}
+	d, err := privtree.ReadCSVFile(csvPath)
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// readOriginal is openRelation followed by materialization: tree
+// decoding and verification need the custodian's original in memory.
+func readOriginal(csvPath, manifestPath string) (*privtree.Dataset, error) {
+	rel, err := openRelation(csvPath, manifestPath)
+	if err != nil {
+		return nil, err
+	}
+	return dataset.Materialize(rel)
+}
+
+// encodeFile writes rel encoded under key to a new CSV file at path,
+// block- or shard-wise: the apply stage never holds the encoded
+// relation in memory.
+func encodeFile(path string, key *privtree.Key, rel privtree.Relation, chunk, workers int) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer src.Close()
-	key, err := privtree.BuildKeySharded(src, opts, seed)
-	if err != nil {
-		return err
-	}
-	if err := privtree.SaveKey(key, keyPath); err != nil {
-		return err
-	}
-	outSchema, err := pipeline.OutputSchema(key, src.Schema())
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	sink := dataset.NewCSVSink(f, outSchema)
-	if err := pipeline.ApplySharded(key, src, sink, chunk, workers); err != nil {
+	if err := pipeline.ApplyCSV(context.Background(), key, rel, f, chunk, workers); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("encoded %d tuples × %d attributes from %d shard(s) → %s (key: %s)\n",
-		src.Total(), src.Schema().NumAttrs(), src.NumShards(), out, keyPath)
-	return nil
-}
-
-// readOriginal materializes the custodian's original data from either
-// a single CSV or a sharded manifest (exactly one must be set; the
-// caller validates). Tree decoding and verification need the relation
-// in memory, so sharded sets are collected here.
-func readOriginal(csvPath, manifestPath string) (*privtree.Dataset, error) {
-	if manifestPath != "" {
-		return privtree.ReadShardedFile(manifestPath)
-	}
-	return privtree.ReadCSVFile(csvPath)
+	return f.Close()
 }
 
 // treeFlags registers the shared mining flags.
@@ -307,16 +275,11 @@ func treeFlags(fs *flag.FlagSet) (criterion *string, minLeaf, maxDepth *int) {
 }
 
 func treeConfig(criterion string, minLeaf, maxDepth int) (privtree.TreeConfig, error) {
-	cfg := privtree.TreeConfig{MinLeaf: minLeaf, MaxDepth: maxDepth}
-	switch criterion {
-	case "gini":
-		cfg.Criterion = privtree.Gini
-	case "entropy":
-		cfg.Criterion = privtree.Entropy
-	default:
-		return cfg, usageError{fmt.Sprintf("unknown criterion %q", criterion)}
+	c, err := tree.ParseCriterion(criterion)
+	if err != nil {
+		return privtree.TreeConfig{}, usageError{err.Error()}
 	}
-	return cfg, nil
+	return privtree.TreeConfig{Criterion: c, MinLeaf: minLeaf, MaxDepth: maxDepth}, nil
 }
 
 func cmdMine(args []string) (err error) {
@@ -326,19 +289,11 @@ func cmdMine(args []string) (err error) {
 	out := fs.String("out", "", "optional JSON file for the mined tree (what the service ships back)")
 	criterion, minLeaf, maxDepth := treeFlags(fs)
 	workers := fs.Int("workers", 0, "worker goroutines (0 = default); the mined tree is identical at any setting")
-	var oc obs.CLI
-	oc.Register(fs)
-	fs.Parse(args)
-	defer func() {
-		if e := oc.Finish(os.Stderr); err == nil {
-			err = e
-		}
-	}()
-	stopObs, e := obsStart(&oc)
-	if e != nil {
-		return e
+	finish, err := parseFlags(fs, args)
+	if err != nil {
+		return err
 	}
-	defer stopObs()
+	defer finish(&err)
 	if (*in == "") == (*manifest == "") {
 		return usageError{"mine needs exactly one of -in or -manifest"}
 	}
@@ -347,31 +302,19 @@ func cmdMine(args []string) (err error) {
 		return err
 	}
 	cfg.Workers = *workers
-	var t *privtree.Tree
-	var accuracy float64
-	if *manifest != "" {
-		src, err := privtree.OpenSharded(*manifest)
-		if err != nil {
-			return err
-		}
-		defer src.Close()
-		if t, err = privtree.MineSharded(src, cfg); err != nil {
-			return err
-		}
-		// BuildSharded reads per-shard sub-sources, so src itself is
-		// still at the start; one more streaming pass scores it.
-		if accuracy, err = t.AccuracySource(src); err != nil {
-			return err
-		}
-	} else {
-		d, err := privtree.ReadCSVFile(*in)
-		if err != nil {
-			return err
-		}
-		if t, err = privtree.Mine(d, cfg); err != nil {
-			return err
-		}
-		accuracy = t.Accuracy(d)
+	rel, err := openRelation(*in, *manifest)
+	if err != nil {
+		return err
+	}
+	t, err := privtree.Mine(rel, cfg)
+	if err != nil {
+		return err
+	}
+	// One more streaming pass scores the tree: the same float as
+	// Accuracy on the materialized rows.
+	accuracy, err := t.AccuracySource(rel.Rows())
+	if err != nil {
+		return err
 	}
 	fmt.Printf("tree: %d nodes, %d leaves, depth %d, training accuracy %.2f%%\n",
 		t.NumNodes(), t.NumLeaves(), t.Depth(), 100*accuracy)
@@ -399,19 +342,11 @@ func cmdDecode(args []string) (err error) {
 	manifest := fs.String("manifest", "", "sharded original: manifest JSON (instead of -orig)")
 	keyPath := fs.String("key", "", "secret key JSON")
 	criterion, minLeaf, maxDepth := treeFlags(fs)
-	var oc obs.CLI
-	oc.Register(fs)
-	fs.Parse(args)
-	defer func() {
-		if e := oc.Finish(os.Stderr); err == nil {
-			err = e
-		}
-	}()
-	stopObs, e := obsStart(&oc)
-	if e != nil {
-		return e
+	finish, err := parseFlags(fs, args)
+	if err != nil {
+		return err
 	}
-	defer stopObs()
+	defer finish(&err)
 	if (*in == "" && *treePath == "" && *encManifest == "") || (*orig == "") == (*manifest == "") || *keyPath == "" {
 		return usageError{"decode needs -key, one of -in, -tree or -enc-manifest, and exactly one of -orig or -manifest"}
 	}
@@ -428,8 +363,7 @@ func cmdDecode(args []string) (err error) {
 		return err
 	}
 	var mined *privtree.Tree
-	switch {
-	case *treePath != "":
+	if *treePath != "" {
 		tb, err := os.ReadFile(*treePath)
 		if err != nil {
 			return err
@@ -437,21 +371,10 @@ func cmdDecode(args []string) (err error) {
 		if mined, err = privtree.UnmarshalTree(tb); err != nil {
 			return err
 		}
-	case *encManifest != "":
-		// The re-mine side runs out-of-core over the sharded encoded
-		// set; only the custodian's original is materialized for the
-		// Theorem 2 decode.
-		encSrc, err := privtree.OpenSharded(*encManifest)
-		if err != nil {
-			return err
-		}
-		mined, err = privtree.MineSharded(encSrc, cfg)
-		encSrc.Close()
-		if err != nil {
-			return err
-		}
-	default:
-		enc, err := privtree.ReadCSVFile(*in)
+	} else {
+		// Re-mine the encoded data; only the custodian's original is
+		// materialized for the Theorem 2 decode.
+		enc, err := openRelation(*in, *encManifest)
 		if err != nil {
 			return err
 		}
@@ -459,16 +382,12 @@ func cmdDecode(args []string) (err error) {
 			return err
 		}
 	}
-	decoded, err := privtree.DecodeTree(mined, key, d)
-	if err != nil {
-		return err
-	}
-	direct, err := privtree.Mine(d, cfg)
+	decoded, diff, err := tree.DecodeAndCompare(mined, key, d, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("decoded tree (%d nodes, depth %d); identical to direct mining: %v\n",
-		decoded.NumNodes(), decoded.Depth(), privtree.SameOutcome(direct, decoded, d))
+		decoded.NumNodes(), decoded.Depth(), diff == "")
 	fmt.Print(decoded)
 	return nil
 }
@@ -481,19 +400,11 @@ func cmdAppend(args []string) (err error) {
 	batchPath := fs.String("batch", "", "new batch CSV to encode under the same key")
 	keyPath := fs.String("key", "", "secret key JSON")
 	out := fs.String("out", "", "output CSV for the encoded batch")
-	var oc obs.CLI
-	oc.Register(fs)
-	fs.Parse(args)
-	defer func() {
-		if e := oc.Finish(os.Stderr); err == nil {
-			err = e
-		}
-	}()
-	stopObs, e := obsStart(&oc)
-	if e != nil {
-		return e
+	finish, err := parseFlags(fs, args)
+	if err != nil {
+		return err
 	}
-	defer stopObs()
+	defer finish(&err)
 	if *orig == "" || *batchPath == "" || *keyPath == "" || *out == "" {
 		return usageError{"append needs -orig, -batch, -key and -out"}
 	}
@@ -512,20 +423,7 @@ func cmdAppend(args []string) (err error) {
 	if err := privtree.CanAppend(key, d, b); err != nil {
 		return fmt.Errorf("batch cannot reuse this key (re-encode everything with a fresh key): %w", err)
 	}
-	outSchema, err := pipeline.OutputSchema(key, b.Schema())
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	sink := dataset.NewCSVSink(f, outSchema)
-	if err := pipeline.ApplyStream(context.Background(), key, dataset.NewDatasetSource(b), sink, 0, 0); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := encodeFile(*out, key, b, 0, 0); err != nil {
 		return err
 	}
 	fmt.Printf("batch of %d tuples encoded under the existing key → %s\n", b.NumTuples(), *out)
@@ -538,19 +436,11 @@ func cmdRisk(args []string) (err error) {
 	trials := fs.Int("trials", 31, "randomized trials per median")
 	rho := fs.Float64("rho", 0.02, "crack radius as a fraction of range width")
 	seed := fs.Int64("seed", 1, "random seed")
-	var oc obs.CLI
-	oc.Register(fs)
-	fs.Parse(args)
-	defer func() {
-		if e := oc.Finish(os.Stderr); err == nil {
-			err = e
-		}
-	}()
-	stopObs, e := obsStart(&oc)
-	if e != nil {
-		return e
+	finish, err := parseFlags(fs, args)
+	if err != nil {
+		return err
 	}
-	defer stopObs()
+	defer finish(&err)
 	if *in == "" {
 		return usageError{"risk needs -in"}
 	}
@@ -570,11 +460,6 @@ func cmdRisk(args []string) (err error) {
 	}
 	fmt.Printf("%-18s %10s %14s %10s %10s\n", "attribute", "ignorant", "knowledgeable", "expert", "sorting")
 	for _, ar := range rep.Attrs {
-		names := make([]string, 0, len(ar.Domain))
-		for n := range ar.Domain {
-			names = append(names, n)
-		}
-		sort.Strings(names)
 		fmt.Printf("%-18s %9.1f%% %13.1f%% %9.1f%% %9.1f%%\n", ar.Attr,
 			100*ar.Domain["ignorant"], 100*ar.Domain["knowledgeable"],
 			100*ar.Domain["expert"], 100*ar.SortingWorstCase)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"privtree"
@@ -186,17 +187,18 @@ func TestAppendWorkflow(t *testing.T) {
 	}
 }
 
-// writeShardedFixture writes the fixture rows as a sharded set and
-// returns the manifest path. The rows are the CSV round-trip of the
-// fixture, so -in on the CSV and -manifest on the shards see identical
-// values.
-func writeShardedFixture(t *testing.T, dir, train string, rowsPerShard int) string {
+// writeShardedFixture writes the rows of a CSV file as a sharded set
+// named after the file and returns the manifest path. The rows are the
+// CSV round-trip of the file, so -in on the CSV and -manifest on the
+// shards see identical values.
+func writeShardedFixture(t *testing.T, dir, csvPath string, rowsPerShard int) string {
 	t.Helper()
-	d, err := privtree.ReadCSVFile(train)
+	d, err := privtree.ReadCSVFile(csvPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := dataset.NewShardedCSVSink(filepath.Join(dir, "train"), rowsPerShard, d.Schema())
+	prefix := filepath.Join(dir, strings.TrimSuffix(filepath.Base(csvPath), ".csv"))
+	sink, err := dataset.NewShardedCSVSink(prefix, rowsPerShard, d.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +221,34 @@ func writeShardedFixture(t *testing.T, dir, train string, rowsPerShard int) stri
 	return sink.ManifestPath()
 }
 
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what f printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // TestEncodeManifestMatchesInMemory pins the CLI-level byte identity:
 // encode -manifest produces exactly the CSV and key that encode -in
-// produces on the same rows and seed, and decode/verify accept the
-// manifest form.
+// produces on the same rows and seed, mine -manifest writes exactly the
+// tree JSON of mine -in, decode -enc-manifest prints exactly the
+// decoded tree of decode -in, and verify accepts the manifest form.
 func TestEncodeManifestMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
 	train := writeFixture(t, dir)
@@ -253,8 +279,34 @@ func TestEncodeManifestMatchesInMemory(t *testing.T) {
 		}
 	}
 
-	if err := cmdDecode([]string{"-in", encSh, "-manifest", manifest, "-key", keySh, "-minleaf", "20"}); err != nil {
+	encManifest := writeShardedFixture(t, dir, encSh, 110)
+	treeMem := filepath.Join(dir, "tree_mem.json")
+	treeSh := filepath.Join(dir, "tree_sh.json")
+	if err := cmdMine([]string{"-in", encMem, "-minleaf", "20", "-out", treeMem}); err != nil {
 		t.Fatal(err)
+	}
+	if err := cmdMine([]string{"-manifest", encManifest, "-minleaf", "20", "-workers", "4", "-out", treeSh}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(treeMem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(treeSh); err != nil || !bytes.Equal(a, b) {
+		t.Errorf("mine -manifest wrote a different tree than mine -in (%v)", err)
+	}
+
+	decMem := captureStdout(t, func() error {
+		return cmdDecode([]string{"-in", encMem, "-orig", train, "-key", keyMem, "-minleaf", "20"})
+	})
+	decSh := captureStdout(t, func() error {
+		return cmdDecode([]string{"-enc-manifest", encManifest, "-manifest", manifest, "-key", keySh, "-minleaf", "20"})
+	})
+	if decSh != decMem {
+		t.Errorf("decode -enc-manifest printed\n%s\ndecode -in printed\n%s", decSh, decMem)
+	}
+	if !strings.Contains(decMem, "identical to direct mining: true") {
+		t.Errorf("decode output does not report the guarantee:\n%s", decMem)
 	}
 	if err := cmdVerify([]string{"-manifest", manifest, "-key", keySh, "-minleaf", "20"}); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"privtree/internal/conformance"
-	"privtree/internal/obs"
 	"privtree/internal/pipeline"
 	"privtree/internal/transform"
 )
@@ -33,19 +32,11 @@ func cmdVerify(args []string) (err error) {
 	seed := fs.Int64("seed", 1, "self-test: base seed (a reported trial replays under the same seed)")
 	maxTuples := fs.Int("maxtuples", 400, "self-test: max synthetic tuples per trial")
 	criterion, minLeaf, maxDepth := treeFlags(fs)
-	var oc obs.CLI
-	oc.Register(fs)
-	fs.Parse(args)
-	defer func() {
-		if e := oc.Finish(os.Stderr); err == nil {
-			err = e
-		}
-	}()
-	stopObs, e := obsStart(&oc)
-	if e != nil {
-		return e
+	finish, err := parseFlags(fs, args)
+	if err != nil {
+		return err
 	}
-	defer stopObs()
+	defer finish(&err)
 
 	cfg, err := treeConfig(*criterion, *minLeaf, *maxDepth)
 	if err != nil {
@@ -53,16 +44,13 @@ func cmdVerify(args []string) (err error) {
 	}
 
 	if *randMode {
-		var strats []pipeline.Strategy
-		switch *strategy {
-		case "bp":
-			strats = []pipeline.Strategy{pipeline.StrategyBP}
-		case "maxmp":
-			strats = []pipeline.Strategy{pipeline.StrategyMaxMP}
-		case "all":
-			strats = []pipeline.Strategy{pipeline.StrategyBP, pipeline.StrategyMaxMP}
-		default:
-			return usageError{fmt.Sprintf("unknown strategy %q (bp, maxmp, all)", *strategy)}
+		strats := []pipeline.Strategy{pipeline.StrategyBP, pipeline.StrategyMaxMP}
+		if *strategy != "all" {
+			strat, err := pipeline.ParseStrategy(*strategy)
+			if err != nil || strat == pipeline.StrategyNone {
+				return usageError{fmt.Sprintf("unknown strategy %q (bp, maxmp, all)", *strategy)}
+			}
+			strats = []pipeline.Strategy{strat}
 		}
 		rep := conformance.SelfTest(conformance.SelfTestOptions{
 			Trials:     *trials,
@@ -95,13 +83,7 @@ func cmdVerify(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	rep := conformance.CheckKey(d, key)
-	if rep.Ok() {
-		// A structurally broken key would surface every downstream tree
-		// mismatch too; only run the differential guarantee once the
-		// structure holds so the report names the root cause.
-		rep.Merge(conformance.CheckGuarantee(d, key, cfg))
-	}
+	rep := conformance.Verify(d, key, cfg, true)
 	fmt.Println(rep)
 	return rep.Err()
 }

@@ -200,7 +200,7 @@ func TestDifferentialShardEquivalence(t *testing.T) {
 				src := openDiff(t, format.manifest)
 				scfg := cfg
 				scfg.Workers = workers
-				mined, err := MineSharded(src, scfg)
+				mined, err := Mine(src, scfg)
 				if err != nil {
 					t.Fatalf("shards=%d %s workers=%d: %v", shards, format.name, workers, err)
 				}
@@ -211,7 +211,7 @@ func TestDifferentialShardEquivalence(t *testing.T) {
 				for si, strat := range diffStrategies {
 					opts := strat.opts
 					opts.Workers = workers
-					key, err := BuildKeySharded(src, opts, seed)
+					key, err := BuildKey(src, opts, seed)
 					if err != nil {
 						t.Fatalf("shards=%d %s workers=%d %s: %v",
 							shards, format.name, workers, strat.name, err)
@@ -300,7 +300,7 @@ func TestDifferentialVerifyReport(t *testing.T) {
 			name, manifest string
 		}{{"csv", csvManifest}, {"bin", binManifest}} {
 			src := openDiff(t, m.manifest)
-			skey, err := BuildKeySharded(src, opts, seed)
+			skey, err := BuildKey(src, opts, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +317,7 @@ func TestDifferentialVerifyReport(t *testing.T) {
 			encSrc := openDiff(t, encSink.ManifestPath())
 			scfg := cfg
 			scfg.Workers = workers
-			minedEnc, err := MineSharded(encSrc, scfg)
+			minedEnc, err := Mine(encSrc, scfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func TestDifferentialStress(t *testing.T) {
 				return
 			}
 			defer src.Close()
-			mined, err := MineSharded(src, cfg)
+			mined, err := Mine(src, cfg)
 			if err != nil {
 				errs <- fmt.Errorf("goroutine %d: %w", g, err)
 				return
@@ -377,7 +377,7 @@ func TestDifferentialStress(t *testing.T) {
 				errs <- fmt.Errorf("goroutine %d: tree differs", g)
 				return
 			}
-			key, err := BuildKeySharded(src, EncodeOptions{Workers: 32}, 3)
+			key, err := BuildKey(src, EncodeOptions{Workers: 32}, 3)
 			if err != nil {
 				errs <- fmt.Errorf("goroutine %d: %w", g, err)
 				return
@@ -466,7 +466,7 @@ func TestMineSharded1M(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := openDiff(t, sink.ManifestPath())
-	got, err := MineSharded(src, cfg)
+	got, err := Mine(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

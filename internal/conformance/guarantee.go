@@ -38,9 +38,9 @@ const roundTripTolFrac = 1e-6
 //     permutation pieces, within a range-scaled tolerance for
 //     function pieces).
 //
-// It assumes the key is structurally sound; run CheckKey first (the
-// verify CLI and SelfTest do) so a broken key surfaces as the invariant
-// it violates rather than as a downstream tree mismatch.
+// It assumes the key is structurally sound; run CheckKey first (Verify
+// and SelfTest do) so a broken key surfaces as the invariant it
+// violates rather than as a downstream tree mismatch.
 func CheckGuarantee(d *dataset.Dataset, key *transform.Key, cfg tree.Config) *Report {
 	rep := &Report{}
 	rep.ran(CheckRoundTrip)
@@ -52,27 +52,36 @@ func CheckGuarantee(d *dataset.Dataset, key *transform.Key, cfg tree.Config) *Re
 	}
 	checkRoundTrip(rep, d, enc, key)
 
-	direct, err := tree.Build(d, cfg)
-	if err != nil {
-		rep.add(newViolation(CheckTree, "", fmt.Sprintf("mining the original data failed: %v", err)))
-		return rep
-	}
 	mined, err := tree.Build(enc, cfg)
 	if err != nil {
 		rep.add(newViolation(CheckTree, "", fmt.Sprintf("mining the encoded data failed: %v", err)))
 		return rep
 	}
-	decoded, err := tree.DecodeWithData(mined, key, d)
+	_, diff, err := tree.DecodeAndCompare(mined, key, d, cfg)
 	if err != nil {
-		rep.add(newViolation(CheckTree, "", fmt.Sprintf("decoding the mined tree failed: %v", err)))
+		rep.add(newViolation(CheckTree, "", err.Error()))
 		return rep
 	}
-	if diff := tree.DivergenceOn(direct, decoded, d); diff != "" {
+	if diff != "" {
 		v := newViolation(CheckTree, "", "decoded tree differs from direct mining at "+diff)
 		if attr := divergentAttr(diff, d); attr != "" {
 			v.Attr = attr
 		}
 		rep.add(v)
+	}
+	return rep
+}
+
+// Verify is the conformance battery for a concrete key, as `privtree
+// verify` and privtreed's /v1/verify run it: CheckKey, then, when
+// guarantee is set, CheckGuarantee — but only if the key is
+// structurally sound. A broken key would surface every downstream tree
+// mismatch too; stopping at the structure keeps the report on the root
+// cause.
+func Verify(d *dataset.Dataset, key *transform.Key, cfg tree.Config, guarantee bool) *Report {
+	rep := CheckKey(d, key)
+	if guarantee && rep.Ok() {
+		rep.Merge(CheckGuarantee(d, key, cfg))
 	}
 	return rep
 }

@@ -321,73 +321,21 @@ func (r *binShardReader) next(max int, buf *Block) (*Block, error) {
 	return buf, nil
 }
 
-func (r *binShardReader) close() error   { return r.rc.Close() }
-func (r *binShardReader) abandon() error { return r.rc.Close() }
+func (r *binShardReader) close() error { return r.rc.Close() }
 
-// BinaryShardSource streams one binary shard file as a Source against
-// a fixed schema — the single-file face of the binary format, and the
-// surface FuzzReadBinaryShard drives with arbitrary bytes. declared
-// and checksum come from the manifest entry describing the shard
-// (checksum "" skips verification).
-type BinaryShardSource struct {
-	r      *binShardReader
-	schema *Schema
-	rows   int
-	buf    Block
-}
-
-// NewBinaryShardSource wraps an open binary shard stream. The returned
-// source yields ErrCorruptShard/ErrBadManifest — never a panic — on
-// malformed input.
-func NewBinaryShardSource(rc io.ReadCloser, name string, schema *Schema, declared int, checksum string) (*BinaryShardSource, error) {
+// NewBinaryShardSource wraps an open binary shard stream as a
+// single-shard Source against a fixed schema — the single-file face of
+// the binary format, and the surface FuzzReadBinaryShard drives with
+// arbitrary bytes. declared and checksum come from the manifest entry
+// describing the shard (checksum "" skips verification). The source
+// yields ErrCorruptShard/ErrBadManifest — never a panic — on malformed
+// input.
+func NewBinaryShardSource(rc io.ReadCloser, name string, schema *Schema, declared int, checksum string) (*ShardSource, error) {
 	r, err := newBinShardReader(rc, name, schema.NumAttrs(), len(schema.ClassNames), declared, checksum)
 	if err != nil {
 		return nil, err
 	}
-	return &BinaryShardSource{r: r, schema: schema, rows: declared}, nil
-}
-
-// OpenBinaryShard opens one shard file of a binary-format manifest as
-// an independent Source.
-func OpenBinaryShard(path string, schema *Schema, declared int, checksum string) (*BinaryShardSource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewBinaryShardSource(f, path, schema, declared, checksum)
-}
-
-// Schema implements Source.
-func (s *BinaryShardSource) Schema() *Schema { return s.schema }
-
-// Total reports the shard's declared row count.
-func (s *BinaryShardSource) Total() int { return s.rows }
-
-// Next implements Source.
-func (s *BinaryShardSource) Next(max int) (*Block, error) {
-	if s.r == nil {
-		return nil, io.EOF
-	}
-	blk, err := s.r.next(max, &s.buf)
-	if err == io.EOF {
-		cerr := s.r.close()
-		s.r = nil
-		if cerr != nil {
-			return nil, cerr
-		}
-		return nil, io.EOF
-	}
-	return blk, err
-}
-
-// Close releases the shard stream if it was not drained to EOF.
-func (s *BinaryShardSource) Close() error {
-	if s.r == nil {
-		return nil
-	}
-	err := s.r.abandon()
-	s.r = nil
-	return err
+	return &ShardSource{r: r, s: schema, rows: declared}, nil
 }
 
 // BinaryShardSink is a ShardSink writing the stream as a binary-format

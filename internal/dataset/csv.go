@@ -29,17 +29,5 @@ func readCSV(r io.Reader, workers int) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	col := NewCollector(src.Schema())
-	for {
-		blk, err := src.Next(0)
-		if err == io.EOF { // a read error that wraps io.EOF is no clean end
-			return col.Dataset()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := col.Write(blk); err != nil {
-			return nil, err
-		}
-	}
+	return Collect(src)
 }

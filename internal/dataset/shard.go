@@ -189,8 +189,7 @@ type ShardedSource struct {
 	classes map[string]int
 	workers int // CSV codec width of the shard readers; <= 0: the default
 	next    int // next shard index to open
-	cur     rowReader
-	buf     Block
+	cur     *ShardSource
 }
 
 // OpenSharded opens a sharded data set by its manifest path. Shard
@@ -242,26 +241,18 @@ func (s *ShardedSource) Next(max int) (*Block, error) {
 			if s.next >= len(s.m.Shards) {
 				return nil, io.EOF
 			}
-			r, err := openShard(s.dir, s.m, s.classes, s.next, s.workers)
+			sh, err := s.Shard(s.next)
 			if err != nil {
 				return nil, err
 			}
-			s.cur = r
+			s.cur = sh
 			s.next++
 		}
-		blk, err := s.cur.next(max, &s.buf)
-		if err == io.EOF {
-			if cerr := s.cur.close(); cerr != nil {
-				s.cur = nil
-				return nil, cerr
-			}
-			s.cur = nil
-			continue
+		blk, err := s.cur.Next(max)
+		if err != io.EOF {
+			return blk, err
 		}
-		if err != nil {
-			return nil, err
-		}
-		return blk, nil
+		s.cur = nil
 	}
 }
 
@@ -272,12 +263,13 @@ func (s *ShardedSource) Close() error {
 	if s.cur == nil {
 		return nil
 	}
-	err := s.cur.abandon()
+	err := s.cur.Close()
 	s.cur = nil
 	return err
 }
 
-// ShardSource streams a single shard of a sharded data set. It
+// ShardSource streams a single shard of a sharded data set, in either
+// shard format (ShardedSource.Shard, NewBinaryShardSource). It
 // implements Source with the manifest's fixed global schema, so labels
 // read from any shard agree with the sharded whole — the property that
 // makes per-shard statistics mergeable. Independent ShardSources are
@@ -330,18 +322,17 @@ func (s *ShardSource) Close() error {
 	if s.r == nil {
 		return nil
 	}
-	err := s.r.abandon()
+	err := s.r.close()
 	s.r = nil
 	return err
 }
 
 // rowReader is the per-format shard reading contract behind openShard:
-// serve blocks of rows verified against the manifest, then either
-// close (drained to EOF, all checks passed) or abandon (early exit).
+// serve blocks of rows verified against the manifest, then close the
+// file, whether drained to EOF (all checks passed) or abandoned early.
 type rowReader interface {
 	next(max int, buf *Block) (*Block, error)
 	close() error
-	abandon() error
 }
 
 // shardReader reads one CSV shard against the manifest's fixed class
@@ -450,8 +441,5 @@ func (r *shardReader) class(name []byte) (int, error) {
 	return label, nil
 }
 
-// close finishes a drained shard.
+// close releases the shard file.
 func (r *shardReader) close() error { return r.f.Close() }
-
-// abandon closes a shard that was not read to completion.
-func (r *shardReader) abandon() error { return r.f.Close() }

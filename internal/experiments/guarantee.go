@@ -43,7 +43,6 @@ func Guarantee(cfg *Config) (*GuaranteeResult, error) {
 	}
 	rng := cfg.rng(2)
 	res := &GuaranteeResult{}
-	treeCfg := tree.Config{MinLeaf: 5}
 	for _, strat := range []pipeline.Strategy{pipeline.StrategyNone, pipeline.StrategyBP, pipeline.StrategyMaxMP} {
 		for _, crit := range []tree.Criterion{tree.Gini, tree.Entropy} {
 			for _, anti := range []bool{false, true} {
@@ -71,7 +70,7 @@ func Guarantee(cfg *Config) (*GuaranteeResult, error) {
 						res.DataBytes = buf.Len()
 					}
 				}
-				err = checkRoundTrip(d, enc, key, treeCfg, crit)
+				err = checkRoundTrip(d, enc, key, tree.Config{MinLeaf: 5, Criterion: crit})
 				if err != nil {
 					c.Err = err.Error()
 				} else {
@@ -84,23 +83,19 @@ func Guarantee(cfg *Config) (*GuaranteeResult, error) {
 	return res, nil
 }
 
-func checkRoundTrip(d, enc *dataset.Dataset, key *transform.Key, base tree.Config, crit tree.Criterion) error {
-	cfg := base
-	cfg.Criterion = crit
-	orig, err := tree.Build(d, cfg)
-	if err != nil {
-		return err
-	}
+// checkRoundTrip mines enc, decodes the tree with key and d, and
+// compares it with direct mining of d.
+func checkRoundTrip(d, enc *dataset.Dataset, key *transform.Key, cfg tree.Config) error {
 	mined, err := tree.Build(enc, cfg)
 	if err != nil {
 		return err
 	}
-	decoded, err := tree.DecodeWithData(mined, key, d)
+	_, diff, err := tree.DecodeAndCompare(mined, key, d, cfg)
 	if err != nil {
 		return err
 	}
-	if !tree.EquivalentOn(orig, decoded, d) {
-		return fmt.Errorf("decoded tree differs from direct mining")
+	if diff != "" {
+		return fmt.Errorf("decoded tree differs from direct mining at %s", diff)
 	}
 	return nil
 }

@@ -40,8 +40,15 @@ type Artifact struct {
 // finished key and, for every attribute, the intermediate state the
 // verify stage checked it against. Same determinism contract as
 // BuildKey: identical output for a given rng state at any worker count.
-func BuildKeyArtifacts(d *dataset.Dataset, opts Options, rng *rand.Rand) (*transform.Key, []Artifact, error) {
-	if d.NumAttrs() == 0 {
+//
+// The profile stage is the one that reads the data, and it has a
+// kernel per form of relation: profileColumns groups a Dataset's
+// columns in place, profileSharded streams the shards twice. Each is
+// the faster on its own input (DESIGN §5g). Both hand assembleKey the
+// same Groups, so the key does not depend on the form.
+func BuildKeyArtifacts(rel dataset.Relation, opts Options, rng *rand.Rand) (*transform.Key, []Artifact, error) {
+	nAttrs := rel.Schema().NumAttrs()
+	if nAttrs == 0 {
 		return nil, nil, &StageError{Stage: StageProfile, Err: dataset.ErrNoAttributes}
 	}
 	opts = opts.normalize()
@@ -52,10 +59,18 @@ func BuildKeyArtifacts(d *dataset.Dataset, opts Options, rng *rand.Rand) (*trans
 	// no-op path skips even the clock reads).
 	root := obs.StartSpan("encode")
 	defer root.End()
-	obs.Add("pipeline.attrs", int64(d.NumAttrs()))
+	obs.Add("pipeline.attrs", int64(nAttrs))
 
 	sp := root.Child("profile")
-	cols, err := profileColumns(d, workers)
+	var cols []Column
+	var err error
+	if d, ok := rel.(*dataset.Dataset); ok {
+		cols, err = profileColumns(d, workers)
+	} else {
+		src := rel.(*dataset.ShardedSource)
+		obs.Add("pipeline.shards", int64(src.NumShards()))
+		cols, err = profileSharded(src, workers)
+	}
 	sp.End()
 	if err != nil {
 		return nil, nil, err

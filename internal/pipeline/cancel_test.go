@@ -85,6 +85,57 @@ func TestApplyStreamCancelMidStream(t *testing.T) {
 	}
 }
 
+// cancelingSink cancels its context on the given write — a client that
+// disconnects after some shards have been sent.
+type cancelingSink struct {
+	countingSink
+	cancel context.CancelFunc
+	after  int
+}
+
+func (s *cancelingSink) Write(b *dataset.Block) error {
+	s.countingSink.Write(b)
+	if s.blocks == s.after {
+		s.cancel()
+	}
+	return nil
+}
+
+// TestApplyShardedCancelMidStream is TestApplyStreamCancelMidStream for
+// the ordered per-shard loop: canceling after two shards returns a
+// StageError wrapping context.Canceled, stops issuing shards, and never
+// flushes the sink.
+func TestApplyShardedCancelMidStream(t *testing.T) {
+	d, ms := shardedFixture(t, 2000, 100) // 20 shards
+	key, err := BuildKey(d, Options{}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		const cancelAfter = 2
+		sink := &cancelingSink{cancel: cancel, after: cancelAfter}
+		err := applySharded(ctx, key, ms, sink, 0, workers)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: error does not wrap context.Canceled: %v", workers, err)
+		}
+		var se *StageError
+		if !errors.As(err, &se) || se.Stage != StageApply {
+			t.Fatalf("workers=%d: error is not an apply StageError: %v", workers, err)
+		}
+		// Serially the loop stops before the next shard. With a fan-out
+		// the shards already in flight may still land, at most one
+		// window of them; the other ~15 shards must not.
+		if sink.blocks < cancelAfter || sink.blocks > cancelAfter+workers {
+			t.Fatalf("workers=%d: sink saw %d shards, want %d to %d", workers, sink.blocks, cancelAfter, cancelAfter+workers)
+		}
+		if sink.flushes != 0 {
+			t.Fatalf("workers=%d: canceled stream flushed the sink", workers)
+		}
+	}
+}
+
 // TestApplyStreamContextPreCanceled asserts an already-canceled context
 // stops the stream before any block is read.
 func TestApplyStreamContextPreCanceled(t *testing.T) {

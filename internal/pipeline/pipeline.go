@@ -18,7 +18,7 @@
 //     attribute key (ordered disjoint intervals, global invariant).
 //     Fanned out; failures are reported in attribute order.
 //   - apply: transform the data under the finished key, fanned out per
-//     attribute (Apply is pure); see ApplyStream for the block-wise
+//     attribute (Apply is pure); see ApplyCSV for the block-wise
 //     variant over larger-than-memory data.
 //
 // Determinism contract: the choose and draw stages are the only ones
@@ -75,6 +75,21 @@ func (s Strategy) String() string {
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+}
+
+// ParseStrategy returns the strategy the custodian's tools name s:
+// "none", "bp" or "maxmp". Any other name, the empty one included,
+// fails with ErrUnknownStrategy.
+func ParseStrategy(s string) (Strategy, error) {
+	switch s {
+	case "none":
+		return StrategyNone, nil
+	case "bp":
+		return StrategyBP, nil
+	case "maxmp":
+		return StrategyMaxMP, nil
+	}
+	return 0, fmt.Errorf("strategy %q (none, bp, maxmp): %w", s, ErrUnknownStrategy)
 }
 
 // Options configures the randomized encoder.
@@ -158,12 +173,12 @@ func Encode(d *dataset.Dataset, opts Options, rng *rand.Rand) (*dataset.Dataset,
 }
 
 // BuildKey runs the key-construction stages of the pipeline (profile →
-// choose → draw → verify) without applying the key to the data. Use it
-// when the data will be encoded block-wise afterwards (ApplyStream).
-// BuildKeyArtifacts additionally returns the per-attribute stage
-// artifacts the conformance layer checks.
-func BuildKey(d *dataset.Dataset, opts Options, rng *rand.Rand) (*transform.Key, error) {
-	key, _, err := BuildKeyArtifacts(d, opts, rng)
+// choose → draw → verify) over rel without applying the key to the
+// data. Use it when the data will be encoded block-wise afterwards
+// (ApplyCSV). BuildKeyArtifacts additionally returns the per-attribute
+// stage artifacts the conformance layer checks.
+func BuildKey(rel dataset.Relation, opts Options, rng *rand.Rand) (*transform.Key, error) {
+	key, _, err := BuildKeyArtifacts(rel, opts, rng)
 	return key, err
 }
 
@@ -197,17 +212,15 @@ func EncodeColumn(d *dataset.Dataset, a int, opts Options, rng *rand.Rand) (*tra
 // per attribute over workers goroutines. The result is byte-identical
 // to the serial transform.Key.Apply at any worker count.
 func Apply(d *dataset.Dataset, key *transform.Key, workers int) (*dataset.Dataset, error) {
-	if len(key.Attrs) != d.NumAttrs() {
-		return nil, &StageError{
-			Stage: StageApply,
-			Err:   fmt.Errorf("key has %d attributes, dataset has %d: %w", len(key.Attrs), d.NumAttrs(), transform.ErrKeyMismatch),
-		}
+	sch, err := OutputSchema(key, d.Schema())
+	if err != nil {
+		return nil, err
 	}
 	sp := obs.StartSpan("encode/apply")
 	defer sp.End()
 	obs.Add("pipeline.apply.values", int64(d.NumTuples())*int64(d.NumAttrs()))
 	out := d.Clone()
-	err := parallel.ForEach(noCtx, d.NumAttrs(), workers, func(a int) error {
+	err = parallel.ForEach(noCtx, d.NumAttrs(), workers, func(a int) error {
 		col := out.Cols[a]
 		key.Attrs[a].ApplyColumn(col, col)
 		return nil
@@ -216,18 +229,12 @@ func Apply(d *dataset.Dataset, key *transform.Key, workers int) (*dataset.Datase
 		return nil, err
 	}
 	// Category renaming mutates shared dataset metadata; do it serially
-	// after the value sweep.
+	// after the value sweep, with OutputSchema's opaque names.
 	for a, ak := range key.Attrs {
 		if !ak.Categorical {
 			continue
 		}
-		// Replace the category names with opaque labels: the names
-		// themselves would leak which permuted code means what.
-		opaque := make([]string, d.NumCategories(a))
-		for c := range opaque {
-			opaque[c] = fmt.Sprintf("k%d", c)
-		}
-		if err := out.MarkCategorical(a, opaque); err != nil {
+		if err := out.MarkCategorical(a, sch.Categorical[a]); err != nil {
 			return nil, &StageError{Stage: StageApply, Attr: ak.Attr, Err: err}
 		}
 	}

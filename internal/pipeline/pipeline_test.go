@@ -132,6 +132,34 @@ func TestEncodeErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestParseStrategy pins the one name table of Strategy: every name the
+// CLI and privtreed accept, and the error text of every other one.
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Strategy
+		err  string
+	}{
+		{"none", StrategyNone, ""},
+		{"bp", StrategyBP, ""},
+		{"maxmp", StrategyMaxMP, ""},
+		{"", 0, `strategy "" (none, bp, maxmp): pipeline: unknown breakpoint strategy`},
+		{"choosebp", 0, `strategy "choosebp" (none, bp, maxmp): pipeline: unknown breakpoint strategy`},
+		{"MaxMP", 0, `strategy "MaxMP" (none, bp, maxmp): pipeline: unknown breakpoint strategy`},
+	} {
+		got, err := ParseStrategy(tc.name)
+		if tc.err == "" {
+			if err != nil || got != tc.want {
+				t.Errorf("ParseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.err || !errors.Is(err, ErrUnknownStrategy) {
+			t.Errorf("ParseStrategy(%q) error %v; want %q wrapping ErrUnknownStrategy", tc.name, err, tc.err)
+		}
+	}
+}
+
 func TestStageErrorMessage(t *testing.T) {
 	e := &StageError{Stage: StageDraw, Attr: "salary", Err: ErrUnknownStrategy}
 	msg := e.Error()

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -27,8 +28,8 @@ import (
 //     (runs.MergeClassGroups) and derives from them exactly the Groups
 //     the in-memory profileColumns computes (runs.ValueGroupsOf). The
 //     choose/draw/verify stages that follow are byte-for-byte the same
-//     code (assembleKey), so BuildKeySharded's key is byte-identical to
-//     BuildKey's on the materialized data.
+//     code (assembleKey), so BuildKey's key over the shards is
+//     byte-identical to its key over the materialized data.
 //   - Per-shard apply: shards are transformed concurrently and merged
 //     into the sink in shard-index order (parallel.OrderedEach), so
 //     the output stream is byte-identical to the single-stream
@@ -37,54 +38,12 @@ import (
 // Sharded sources carry no categorical metadata (CSV shards are all
 // numeric), so the categorical code paths never trigger here.
 
-// shardedProvider is the slice of dataset.ShardedSource the pipeline
-// needs: the fixed schema, the shard count and per-shard sub-sources.
-// It is satisfied by *dataset.ShardedSource; tests substitute failing
-// implementations.
-type shardedProvider interface {
-	Schema() *dataset.Schema
-	NumShards() int
-	Total() int
-	Shard(i int) (*dataset.ShardSource, error)
-}
-
-// BuildKeySharded runs the key-construction stages over a sharded
-// data set without ever materializing it whole: profile is the
-// two-pass streaming version; choose → draw → verify are the standard
-// stages. The key is byte-identical to BuildKey on the materialized
-// relation for the same rng state, at any worker and shard count.
+// BuildKeySharded is BuildKey over a sharded data set.
+//
+// Deprecated: BuildKey takes any dataset.Relation, a
+// *dataset.ShardedSource included.
 func BuildKeySharded(src *dataset.ShardedSource, opts Options, rng *rand.Rand) (*transform.Key, error) {
-	key, _, err := BuildKeyShardedArtifacts(src, opts, rng)
-	return key, err
-}
-
-// BuildKeyShardedArtifacts is BuildKeySharded plus the per-attribute
-// stage artifacts, mirroring BuildKeyArtifacts.
-func BuildKeyShardedArtifacts(src *dataset.ShardedSource, opts Options, rng *rand.Rand) (*transform.Key, []Artifact, error) {
-	return buildKeySharded(src, opts, rng)
-}
-
-// buildKeySharded is the provider-generic implementation.
-func buildKeySharded(src shardedProvider, opts Options, rng *rand.Rand) (*transform.Key, []Artifact, error) {
-	sch := src.Schema()
-	if sch.NumAttrs() == 0 {
-		return nil, nil, &StageError{Stage: StageProfile, Err: dataset.ErrNoAttributes}
-	}
-	opts = opts.normalize()
-	workers := parallel.ResolveWorkers(opts.Workers)
-
-	root := obs.StartSpan("encode")
-	defer root.End()
-	obs.Add("pipeline.attrs", int64(sch.NumAttrs()))
-	obs.Add("pipeline.shards", int64(src.NumShards()))
-
-	sp := root.Child("profile")
-	cols, err := profileSharded(src, workers)
-	sp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	return assembleKey(root, cols, opts, rng, workers)
+	return BuildKey(src, opts, rng)
 }
 
 // profileSharded is the two-pass streaming profile stage.
@@ -97,7 +56,7 @@ func buildKeySharded(src shardedProvider, opts Options, rng *rand.Rand) (*transf
 // are element-identical to grouping the concatenated relation —
 // runs.MergeClassGroups is exact — so everything downstream is
 // untouched by sharding.
-func profileSharded(src shardedProvider, workers int) ([]Column, error) {
+func profileSharded(src *dataset.ShardedSource, workers int) ([]Column, error) {
 	sch := src.Schema()
 	nAttrs := sch.NumAttrs()
 	nShards := src.NumShards()
@@ -167,17 +126,16 @@ func profileSharded(src shardedProvider, workers int) ([]Column, error) {
 // OutputSchema(key, src.Schema()) — though sharded sources are always
 // numeric-only, so the schemas coincide.
 func ApplySharded(key *transform.Key, src *dataset.ShardedSource, sink dataset.Sink, chunk, workers int) error {
-	return applySharded(key, src, sink, chunk, workers)
+	return applySharded(noCtx, key, src, sink, chunk, workers)
 }
 
-// applySharded is the provider-generic implementation.
-func applySharded(key *transform.Key, src shardedProvider, sink dataset.Sink, chunk, workers int) error {
+// applySharded is ApplySharded under ctx, which is observed between
+// shards: cancellation returns a StageError wrapping ctx's error, and
+// the sink is not flushed.
+func applySharded(ctx context.Context, key *transform.Key, src *dataset.ShardedSource, sink dataset.Sink, chunk, workers int) error {
 	sch := src.Schema()
-	if len(key.Attrs) != sch.NumAttrs() {
-		return &StageError{
-			Stage: StageApply,
-			Err:   fmt.Errorf("key has %d attributes, source has %d: %w", len(key.Attrs), sch.NumAttrs(), transform.ErrKeyMismatch),
-		}
+	if err := checkWidth(key, sch.NumAttrs()); err != nil {
+		return err
 	}
 	workers = parallel.ResolveWorkers(workers)
 	sp := obs.StartSpan("encode/apply_sharded")
@@ -229,27 +187,15 @@ func applySharded(key *transform.Key, src shardedProvider, sink dataset.Sink, ch
 		pg.Step(blk.NumRows())
 		return nil
 	}
-	if err := parallel.OrderedEach(noCtx, src.NumShards(), workers, produce, consume); err != nil {
+	if err := parallel.OrderedEach(ctx, src.NumShards(), workers, produce, consume); err != nil {
+		var se *StageError
+		if !errors.As(err, &se) { // produce and consume fail with StageErrors; this is ctx's
+			err = &StageError{Stage: StageApply, Err: fmt.Errorf("stream aborted: %w", err)}
+		}
 		return err
 	}
 	if err := sink.Flush(); err != nil {
 		return &StageError{Stage: StageApply, Err: err}
 	}
 	return nil
-}
-
-// EncodeSharded is the end-to-end out-of-core encode: BuildKeySharded
-// (two-pass streaming profile) followed by ApplySharded into sink. The
-// key is returned for the custodian's vault. Output and key are
-// byte-identical to the in-memory Encode on the materialized relation
-// for the same rng state.
-func EncodeSharded(src *dataset.ShardedSource, sink dataset.Sink, opts Options, rng *rand.Rand) (*transform.Key, error) {
-	key, err := BuildKeySharded(src, opts, rng)
-	if err != nil {
-		return nil, err
-	}
-	if err := ApplySharded(key, src, sink, 0, parallel.ResolveWorkers(opts.Workers)); err != nil {
-		return nil, err
-	}
-	return key, nil
 }

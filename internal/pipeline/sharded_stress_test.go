@@ -17,7 +17,7 @@ func TestShardedByteIdentityAtHighWorkerCounts(t *testing.T) {
 	many := writeShardedSet(t, d, t.TempDir(), 9) // 14 tiny shards
 	for _, strat := range []Strategy{StrategyNone, StrategyBP, StrategyMaxMP} {
 		opts := Options{Strategy: strat, Workers: 1}
-		refKey, err := BuildKeySharded(one, opts, rand.New(rand.NewSource(5)))
+		refKey, err := BuildKey(one, opts, rand.New(rand.NewSource(5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +25,7 @@ func TestShardedByteIdentityAtHighWorkerCounts(t *testing.T) {
 		refCSV := applyShardedCSV(t, refKey, one, 0, 1)
 		for _, workers := range []int{2, 8, 32} {
 			opts.Workers = workers
-			key, err := BuildKeySharded(many, opts, rand.New(rand.NewSource(5)))
+			key, err := BuildKey(many, opts, rand.New(rand.NewSource(5)))
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", strat, workers, err)
 			}

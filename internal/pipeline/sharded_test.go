@@ -92,7 +92,7 @@ func TestBuildKeyShardedOracle(t *testing.T) {
 		ref := keyBytes(t, refKey)
 		for _, workers := range []int{1, 3, 16} {
 			opts.Workers = workers
-			key, arts, err := BuildKeyShardedArtifacts(ms, opts, rand.New(rand.NewSource(41)))
+			key, arts, err := BuildKeyArtifacts(ms, opts, rand.New(rand.NewSource(41)))
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", strat, workers, err)
 			}
@@ -147,7 +147,7 @@ func TestBuildKeyNaNFailsAtDraw(t *testing.T) {
 		_, err := BuildKey(d, opts, rand.New(rand.NewSource(1)))
 		check("in memory", err)
 		for _, shards := range []int{1, 3} {
-			_, err := BuildKeySharded(writeShardedSet(t, d, t.TempDir(), n/shards), opts, rand.New(rand.NewSource(1)))
+			_, err := BuildKey(writeShardedSet(t, d, t.TempDir(), n/shards), opts, rand.New(rand.NewSource(1)))
 			check(fmt.Sprintf("%d shards", shards), err)
 		}
 	}
@@ -172,7 +172,7 @@ func applyShardedCSV(t *testing.T, key *transform.Key, ms *dataset.ShardedSource
 // single-stream ApplyStream, at any worker count and chunking.
 func TestApplyShardedByteIdentity(t *testing.T) {
 	d, ms := shardedFixture(t, 250, 60)
-	key, err := BuildKeySharded(ms, Options{}, rand.New(rand.NewSource(3)))
+	key, err := BuildKey(ms, Options{}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestShardCountInvariance(t *testing.T) {
 	if many.NumShards() < 8 {
 		t.Fatalf("fixture produced %d shards, want >= 8", many.NumShards())
 	}
-	keyOne, err := BuildKeySharded(one, Options{}, rand.New(rand.NewSource(77)))
+	keyOne, err := BuildKey(one, Options{}, rand.New(rand.NewSource(77)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyMany, err := BuildKeySharded(many, Options{Workers: 4}, rand.New(rand.NewSource(77)))
+	keyMany, err := BuildKey(many, Options{Workers: 4}, rand.New(rand.NewSource(77)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func (s *errSink) Flush() error { return nil }
 // as a StageApply error and stops the run.
 func TestApplyShardedSinkError(t *testing.T) {
 	_, ms := shardedFixture(t, 120, 30)
-	key, err := BuildKeySharded(ms, Options{}, rand.New(rand.NewSource(1)))
+	key, err := BuildKey(ms, Options{}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,53 +269,36 @@ func TestApplyShardedKeyMismatch(t *testing.T) {
 // TestBuildKeyShardedNoAttrs checks the empty-schema guard.
 func TestBuildKeyShardedNoAttrs(t *testing.T) {
 	// A manifest with no attributes cannot be written (Validate rejects
-	// it), so drive the provider-generic path directly.
-	src := &emptyProvider{}
-	_, _, err := buildKeySharded(src, Options{}, rand.New(rand.NewSource(1)))
+	// it), so open the source over one in memory.
+	src := dataset.NewShardedSource(&dataset.Manifest{Version: 1}, "")
+	_, _, err := BuildKeyArtifacts(src, Options{}, rand.New(rand.NewSource(1)))
 	if !errors.Is(err, dataset.ErrNoAttributes) {
 		t.Fatalf("err %v, want ErrNoAttributes", err)
 	}
 }
 
-type emptyProvider struct{}
-
-func (emptyProvider) Schema() *dataset.Schema                 { return &dataset.Schema{} }
-func (emptyProvider) NumShards() int                          { return 0 }
-func (emptyProvider) Total() int                              { return 0 }
-func (emptyProvider) Shard(int) (*dataset.ShardSource, error) { return nil, io.EOF }
-
-// TestEncodeShardedEndToEnd runs the wrapper and sanity-checks the
-// output row count.
+// TestEncodeShardedEndToEnd runs BuildKey and ApplyCSV over shards and
+// checks the output against the in-memory relation: the same bytes.
 func TestEncodeShardedEndToEnd(t *testing.T) {
 	d, ms := shardedFixture(t, 90, 25)
-	// The sink needs the output schema, which needs the key; build it
-	// once with the same seed the wrapper will use (keys are seed-pure).
-	probe, err := BuildKeySharded(ms, Options{}, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
+	var out [2]bytes.Buffer
+	for i, rel := range []dataset.Relation{d, ms} {
+		key, err := BuildKey(rel, Options{}, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ApplyCSV(noCtx, key, rel, &out[i], 0, 3); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var buf bytes.Buffer
-	key, err := EncodeSharded(ms, dataset.NewCSVSink(&buf, mustOutputSchema(t, probe, ms.Schema())), Options{}, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Fatal("sharded ApplyCSV differs from in-memory ApplyCSV")
 	}
-	if key == nil {
-		t.Fatal("nil key")
-	}
-	enc, err := dataset.ReadCSV(&buf)
+	enc, err := dataset.ReadCSV(&out[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if enc.NumTuples() != d.NumTuples() {
 		t.Fatalf("encoded %d tuples, want %d", enc.NumTuples(), d.NumTuples())
 	}
-}
-
-func mustOutputSchema(t *testing.T, key *transform.Key, in *dataset.Schema) *dataset.Schema {
-	t.Helper()
-	s, err := OutputSchema(key, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }

@@ -18,18 +18,14 @@ import (
 // permuted code means what. The returned schema does not alias in; it
 // is safe to hand to a Sink while in keeps growing.
 func OutputSchema(key *transform.Key, in *dataset.Schema) (*dataset.Schema, error) {
-	if len(key.Attrs) != in.NumAttrs() {
-		return nil, &StageError{
-			Stage: StageApply,
-			Err:   fmt.Errorf("key has %d attributes, schema has %d: %w", len(key.Attrs), in.NumAttrs(), transform.ErrKeyMismatch),
-		}
+	if err := checkWidth(key, in.NumAttrs()); err != nil {
+		return nil, err
 	}
 	out := in.Clone()
-	for a, ak := range key.Attrs {
-		if !ak.Categorical {
+	for a, names := range in.Categorical {
+		if !key.Attrs[a].Categorical {
 			continue
 		}
-		names := in.Categorical[a]
 		opaque := make([]string, len(names))
 		for c := range opaque {
 			opaque[c] = fmt.Sprintf("k%d", c)
@@ -37,6 +33,38 @@ func OutputSchema(key *transform.Key, in *dataset.Schema) (*dataset.Schema, erro
 		out.Categorical[a] = opaque
 	}
 	return out, nil
+}
+
+// checkWidth is the one key-width check of the apply stage: key must
+// hold one attribute key per column of the n-attribute input.
+func checkWidth(key *transform.Key, n int) error {
+	if len(key.Attrs) != n {
+		return &StageError{
+			Stage: StageApply,
+			Err:   fmt.Errorf("key has %d attributes, data has %d: %w", len(key.Attrs), n, transform.ErrKeyMismatch),
+		}
+	}
+	return nil
+}
+
+// ApplyCSV writes rel encoded under key to w as CSV: a header, then
+// every tuple in order, with categorical attributes under
+// OutputSchema's opaque category names. An in-memory relation streams
+// through ApplyStream's block loop, a sharded one through
+// ApplySharded's ordered per-shard loop; the bytes are the same either
+// way, at any chunk size and worker count. ctx is observed between
+// blocks or shards: cancellation returns a StageError wrapping ctx's
+// error, and the CSV is left without its end.
+func ApplyCSV(ctx context.Context, key *transform.Key, rel dataset.Relation, w io.Writer, chunk, workers int) error {
+	schema, err := OutputSchema(key, rel.Schema())
+	if err != nil {
+		return err
+	}
+	sink := dataset.NewCSVSink(w, schema)
+	if d, ok := rel.(*dataset.Dataset); ok {
+		return ApplyStream(ctx, key, dataset.NewDatasetSource(d), sink, chunk, workers)
+	}
+	return applySharded(ctx, key, rel.(*dataset.ShardedSource), sink, chunk, workers)
 }
 
 // ApplyStream is the block-wise apply stage: it drains src, transforms
@@ -55,14 +83,10 @@ func OutputSchema(key *transform.Key, in *dataset.Schema) (*dataset.Schema, erro
 // of draining the source to EOF.
 //
 // Sinks that carry category names should be constructed against
-// OutputSchema(key, src.Schema()).
+// OutputSchema(key, src.Schema()); ApplyCSV does that.
 func ApplyStream(ctx context.Context, key *transform.Key, src dataset.Source, sink dataset.Sink, chunk, workers int) error {
-	sch := src.Schema()
-	if len(key.Attrs) != sch.NumAttrs() {
-		return &StageError{
-			Stage: StageApply,
-			Err:   fmt.Errorf("key has %d attributes, source has %d: %w", len(key.Attrs), sch.NumAttrs(), transform.ErrKeyMismatch),
-		}
+	if err := checkWidth(key, src.Schema().NumAttrs()); err != nil {
+		return err
 	}
 	workers = parallel.ResolveWorkers(workers)
 	sp := obs.StartSpan("encode/apply_stream")

@@ -97,6 +97,12 @@ func TestOutputSchemaOpaqueCategories(t *testing.T) {
 	if opaque == 0 {
 		t.Fatal("workload has no categorical attribute; test is vacuous")
 	}
+	// A schema read from CSV carries no category names: the key's
+	// categorical attributes have none to hide, and none appear.
+	bare := &dataset.Schema{AttrNames: in.AttrNames, ClassNames: in.ClassNames}
+	if out, err := OutputSchema(key, bare); err != nil || len(out.Categorical) != 0 {
+		t.Fatalf("OutputSchema over a schema without category names = %v, %v", out.Categorical, err)
+	}
 }
 
 func TestApplyStreamKeyMismatch(t *testing.T) {

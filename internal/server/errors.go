@@ -94,6 +94,7 @@ var statusTable = []struct {
 	{pipeline.ErrUnknownStrategy, http.StatusBadRequest},        // 400
 	{pipeline.ErrNoValues, http.StatusUnprocessableEntity},      // 422
 	{tree.ErrMalformedTree, http.StatusBadRequest},              // 400
+	{tree.ErrUnknownCriterion, http.StatusBadRequest},           // 400
 	{tree.ErrEmptyData, http.StatusUnprocessableEntity},         // 422
 }
 

@@ -159,15 +159,10 @@ func (s *Server) api(h func(w http.ResponseWriter, r *http.Request, tenant strin
 // same defaults as `privtree encode`.
 func encodeParams(r *http.Request) (opts pipeline.Options, seed int64, err error) {
 	q := r.URL.Query()
-	switch strat := q.Get("strategy"); strat {
-	case "", "maxmp":
-		opts.Strategy = pipeline.StrategyMaxMP
-	case "bp":
-		opts.Strategy = pipeline.StrategyBP
-	case "none":
-		opts.Strategy = pipeline.StrategyNone
-	default:
-		return opts, 0, fmt.Errorf("strategy %q (none, bp, maxmp): %w", strat, pipeline.ErrUnknownStrategy)
+	if strat := q.Get("strategy"); strat != "" {
+		if opts.Strategy, err = pipeline.ParseStrategy(strat); err != nil {
+			return opts, 0, err
+		}
 	}
 	intParam := func(name string, def int) (int, error) {
 		v := q.Get(name)
@@ -221,9 +216,10 @@ type encodeResponse struct {
 //     the key wire bytes, when the client sends Accept:
 //     application/json.
 //
-// The response stream is produced by pipeline.ApplyStream under the
-// request context, so a disconnecting client cancels the encode
-// mid-stream instead of burning the worker pool on a dead socket.
+// Both modes write through pipeline.ApplyCSV, the function `privtree
+// encode` writes its output file with, under the request context, so a
+// disconnecting client cancels the encode mid-stream instead of
+// burning the worker pool on a dead socket.
 func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, tenant string) error {
 	opts, seed, err := encodeParams(r)
 	if err != nil {
@@ -260,14 +256,10 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, tenant str
 			return err
 		}
 	}
-	outSchema, err := pipeline.OutputSchema(key, d.Schema())
-	if err != nil {
-		return err
-	}
 	obs.Add("server.encode_rows", int64(d.NumTuples()))
 	if wantJSON {
 		var buf bytes.Buffer
-		if err := pipeline.ApplyStream(r.Context(), key, dataset.NewDatasetSource(d), dataset.NewCSVSink(&buf, outSchema), s.cfg.Chunk, s.cfg.Workers); err != nil {
+		if err := pipeline.ApplyCSV(r.Context(), key, d, &buf, s.cfg.Chunk, s.cfg.Workers); err != nil {
 			return err
 		}
 		return writeJSON(w, http.StatusOK, &encodeResponse{
@@ -284,7 +276,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, tenant str
 	// From here on bytes are on the wire; an apply failure can only be
 	// a dead client (the transform itself is pure), so the error is
 	// counted and logged, not re-written as a status.
-	if err := pipeline.ApplyStream(r.Context(), key, dataset.NewDatasetSource(d), dataset.NewCSVSink(w, outSchema), s.cfg.Chunk, s.cfg.Workers); err != nil {
+	if err := pipeline.ApplyCSV(r.Context(), key, d, w, s.cfg.Chunk, s.cfg.Workers); err != nil {
 		obs.Add("server.stream_aborted", 1)
 		obs.Logger().Warn("encode: response stream aborted", "tenant", tenant, "err", err.Error())
 		return nil
@@ -321,18 +313,13 @@ type decodeResponse struct {
 }
 
 // treeConfigOf maps the request's mining knobs onto a tree.Config with
-// the CLI's defaults.
-func treeConfigOf(criterion string, minLeaf, maxDepth int) (tree.Config, error) {
-	cfg := tree.Config{MinLeaf: minLeaf, MaxDepth: maxDepth}
-	switch criterion {
-	case "", "gini":
-		cfg.Criterion = tree.Gini
-	case "entropy":
-		cfg.Criterion = tree.Entropy
-	default:
-		return cfg, badRequestf("criterion %q (gini, entropy)", criterion)
+// the CLI's defaults; an empty criterion is gini.
+func treeConfigOf(criterion string, minLeaf, maxDepth int) (cfg tree.Config, err error) {
+	cfg = tree.Config{MinLeaf: minLeaf, MaxDepth: maxDepth}
+	if criterion != "" {
+		cfg.Criterion, err = tree.ParseCriterion(criterion)
 	}
-	return cfg, nil
+	return cfg, err
 }
 
 // loadKey fetches ?key=<name> from the tenant's vault and decodes the
@@ -392,11 +379,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request, tenant str
 			return err
 		}
 	}
-	decoded, err := tree.DecodeWithData(mined, key, orig)
-	if err != nil {
-		return err
-	}
-	direct, err := tree.Build(orig, cfg)
+	decoded, diff, err := tree.DecodeAndCompare(mined, key, orig, cfg)
 	if err != nil {
 		return err
 	}
@@ -408,7 +391,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request, tenant str
 	return writeJSON(w, http.StatusOK, &decodeResponse{
 		Tree:  blob,
 		Nodes: decoded.NumNodes(), Leaves: decoded.NumLeaves(), Depth: decoded.Depth(),
-		SameOutcome: tree.EquivalentOn(direct, decoded, orig),
+		SameOutcome: diff == "",
 	})
 }
 
@@ -430,9 +413,11 @@ type verifyViolation struct {
 	Detail string `json:"detail"`
 }
 
-// handleVerify serves POST /v1/verify: run the conformance battery — the
-// structural key invariants and, unless ?guarantee=0, the differential
-// encode→mine→decode guarantee — for a stored key against the CSV body.
+// handleVerify serves POST /v1/verify: run the conformance battery for a
+// stored key against the CSV body — conformance.Verify, the function
+// `privtree verify` runs, so the differential encode→mine→decode
+// guarantee runs only once the structural key invariants hold. With
+// ?guarantee=0 only the structural invariants are checked.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, tenant string) error {
 	key, err := s.loadKey(r, tenant)
 	if err != nil {
@@ -445,10 +430,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, tenant str
 	if len(key.Attrs) != d.NumAttrs() {
 		return fmt.Errorf("key has %d attributes, data %d: %w", len(key.Attrs), d.NumAttrs(), transform.ErrKeyMismatch)
 	}
-	rep := conformance.CheckKey(d, key)
-	if r.URL.Query().Get("guarantee") != "0" {
-		rep.Merge(conformance.CheckGuarantee(d, key, tree.Config{}))
-	}
+	guarantee := r.URL.Query().Get("guarantee") != "0"
+	rep := conformance.Verify(d, key, tree.Config{}, guarantee)
 	resp := &verifyResponse{OK: rep.Ok(), Checks: rep.Checks, Violations: []verifyViolation{}}
 	for _, v := range rep.Violations {
 		resp.Violations = append(resp.Violations, verifyViolation{

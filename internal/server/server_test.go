@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"privtree/internal/conformance"
 	"privtree/internal/dataset"
 	"privtree/internal/pipeline"
 	"privtree/internal/synth"
@@ -353,6 +354,28 @@ func TestHandlerBattery(t *testing.T) {
 				}
 				if resp.OK || len(resp.Violations) == 0 {
 					t.Error("verify accepted a key built from different data")
+				}
+			},
+		},
+		{
+			// The rule `privtree verify` follows: a key that fails the
+			// structural checks gets no guarantee run, so the report
+			// names the root cause rather than its tree mismatches.
+			name: "verify broken key skips the guarantee", method: "POST",
+			target: "/v1/verify?key=foreign", tenant: "acme", body: csv1,
+			wantStatus: 200,
+			check: func(t *testing.T, rec *httptest.ResponseRecorder) {
+				var resp verifyResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				if resp.OK || len(resp.Violations) == 0 {
+					t.Fatal("verify accepted a key built from different data")
+				}
+				for _, c := range resp.Checks {
+					if c == conformance.CheckTree {
+						t.Errorf("checks %v list %s for a key that fails CheckKey", resp.Checks, c)
+					}
 				}
 			},
 		},

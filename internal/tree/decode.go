@@ -95,6 +95,24 @@ func DecodeWithData(t *Tree, key *transform.Key, d *dataset.Dataset) (*Tree, err
 	return out, nil
 }
 
+// DecodeAndCompare is the custodian's check of Theorem 2: it decodes
+// mined, a tree mined under cfg from data encoded with key, with the
+// original data orig (DecodeWithData), mines orig directly under cfg,
+// and returns the decoded tree together with where it diverges from
+// the direct one — "" when the two are equivalent on orig, the sense of
+// EquivalentOn; otherwise DivergenceOn's description. An error names
+// the step that failed.
+func DecodeAndCompare(mined *Tree, key *transform.Key, orig *dataset.Dataset, cfg Config) (decoded *Tree, divergence string, err error) {
+	if decoded, err = DecodeWithData(mined, key, orig); err != nil {
+		return nil, "", fmt.Errorf("decoding the mined tree failed: %w", err)
+	}
+	direct, err := Build(orig, cfg)
+	if err != nil {
+		return nil, "", fmt.Errorf("mining the original data failed: %w", err)
+	}
+	return decoded, DivergenceOn(direct, decoded, orig), nil
+}
+
 func decodeNodeWithData(n *Node, key *transform.Key, d *dataset.Dataset, idx []int) error {
 	if n == nil || n.Leaf {
 		return nil

@@ -1,8 +1,10 @@
 package tree
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"privtree/internal/dataset"
@@ -67,6 +69,47 @@ func TestFigure1NoOutcomeChange(t *testing.T) {
 	}
 	if !EquivalentOn(orig, decoded, d) {
 		t.Error("decoded tree not behaviorally identical")
+	}
+}
+
+// TestDecodeAndCompare checks the custodian's one decode-and-compare
+// step: a tree mined from the encoded data decodes to no divergence, a
+// tree mined from other rows reports where it diverges, and a failure
+// names its step.
+func TestDecodeAndCompare(t *testing.T) {
+	d := figure1(t)
+	key := linearKey(t, d)
+	enc, err := key.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mined, err := Build(enc, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, diff, err := DecodeAndCompare(mined, key, d, Config{})
+	if err != nil || diff != "" {
+		t.Fatalf("DecodeAndCompare = %q, %v; want no divergence", diff, err)
+	}
+	direct, err := Build(d, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(direct, decoded, 1e-9) {
+		t.Errorf("decoded tree differs from direct mining:\n%s\n%s", direct, decoded)
+	}
+	// A one-leaf tree for the same schema: it diverges at the root.
+	leaf := &Tree{Root: &Node{Leaf: true}, AttrNames: d.AttrNames, ClassNames: d.ClassNames}
+	if _, diff, err := DecodeAndCompare(leaf, key, d, Config{}); err != nil || !strings.HasPrefix(diff, "root") {
+		t.Errorf("DecodeAndCompare(one leaf) = %q, %v; want a divergence at the root", diff, err)
+	}
+	short := &transform.Key{Attrs: key.Attrs[:1]}
+	if _, _, err := DecodeAndCompare(mined, short, d, Config{}); err == nil || !strings.HasPrefix(err.Error(), "decoding the mined tree failed") {
+		t.Errorf("DecodeAndCompare(short key) error %v; want the decode step named", err)
+	}
+	empty := dataset.New(d.AttrNames, d.ClassNames)
+	if _, _, err := DecodeAndCompare(mined, key, empty, Config{}); !errors.Is(err, ErrEmptyData) || !strings.HasPrefix(err.Error(), "mining the original data failed") {
+		t.Errorf("DecodeAndCompare(no rows) error %v; want the mining step named, wrapping ErrEmptyData", err)
 	}
 }
 

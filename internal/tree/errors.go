@@ -12,4 +12,7 @@ var (
 	// structural invariants (leaf with children, missing branches,
 	// non-ascending multiway codes, attributes outside the schema).
 	ErrMalformedTree = errors.New("tree: malformed tree")
+	// ErrUnknownCriterion reports a criterion name ParseCriterion does
+	// not accept.
+	ErrUnknownCriterion = errors.New("tree: unknown split criterion")
 )

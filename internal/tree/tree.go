@@ -46,6 +46,19 @@ func (c Criterion) String() string {
 	}
 }
 
+// ParseCriterion returns the criterion named s, "gini" or "entropy":
+// the two for which the paper proves the no-outcome-change guarantee,
+// and so the two the custodian's tools accept. Any other name fails
+// with ErrUnknownCriterion.
+func ParseCriterion(s string) (Criterion, error) {
+	for _, c := range []Criterion{Gini, Entropy} {
+		if s == c.String() {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("criterion %q (gini, entropy): %w", s, ErrUnknownCriterion)
+}
+
 // Impurity computes the criterion value of a class-count vector.
 func (c Criterion) Impurity(counts []int, total int) float64 {
 	if total == 0 {

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -25,6 +26,34 @@ func figure1(t *testing.T) *dataset.Dataset {
 		}
 	}
 	return d
+}
+
+// TestParseCriterion pins the one name table of Criterion: the two
+// names the CLI and privtreed accept, and the error text of every
+// other one, gain ratio included.
+func TestParseCriterion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Criterion
+		err  string
+	}{
+		{"gini", Gini, ""},
+		{"entropy", Entropy, ""},
+		{"", 0, `criterion "" (gini, entropy): tree: unknown split criterion`},
+		{"gainratio", 0, `criterion "gainratio" (gini, entropy): tree: unknown split criterion`},
+		{"Gini", 0, `criterion "Gini" (gini, entropy): tree: unknown split criterion`},
+	} {
+		got, err := ParseCriterion(tc.name)
+		if tc.err == "" {
+			if err != nil || got != tc.want {
+				t.Errorf("ParseCriterion(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.err || !errors.Is(err, ErrUnknownCriterion) {
+			t.Errorf("ParseCriterion(%q) error %v; want %q wrapping ErrUnknownCriterion", tc.name, err, tc.err)
+		}
+	}
 }
 
 func TestImpurity(t *testing.T) {

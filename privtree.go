@@ -39,7 +39,6 @@
 package privtree
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -91,10 +90,15 @@ func WriteCSVFile(d *Dataset, path string) error {
 	return f.Close()
 }
 
-// ShardedSource streams a sharded data set — CSV shard files described
-// by a manifest — in shard order, and exposes the per-shard structure
-// the out-of-core encode fans out over.
+// ShardedSource streams a sharded data set — CSV or binary shard files
+// described by a manifest — in shard order, and exposes the per-shard
+// structure the out-of-core encode and mine fan out over.
 type ShardedSource = dataset.ShardedSource
+
+// Relation is what BuildKey and Mine take: an in-memory *Dataset or an
+// out-of-core *ShardedSource. Each picks the kernel for the form it is
+// given; keys and trees are byte-identical either way.
+type Relation = dataset.Relation
 
 // OpenSharded opens a sharded data set by its manifest path (see
 // cmd/datagen -shards for writing one). Shard paths in the manifest
@@ -114,28 +118,15 @@ func ConvertSharded(manifestPath, outPrefix, format string) (string, error) {
 }
 
 // ReadShardedFile materializes a sharded data set into memory — the
-// bridge to the in-memory API (Mine, DecodeTree, ...) for sets that do
-// fit. For out-of-core encoding use BuildKeySharded + ApplySharded.
+// bridge to the in-memory API (DecodeTree, SameOutcome, ...) for sets
+// that do fit. BuildKey and Mine take the ShardedSource itself.
 func ReadShardedFile(manifestPath string) (*Dataset, error) {
 	src, err := dataset.OpenSharded(manifestPath)
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	coll := dataset.NewCollector(src.Schema())
-	for {
-		blk, err := src.Next(0)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", manifestPath, err)
-		}
-		if err := coll.Write(blk); err != nil {
-			return nil, fmt.Errorf("%s: %w", manifestPath, err)
-		}
-	}
-	d, err := coll.Dataset()
+	d, err := dataset.Collect(src)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", manifestPath, err)
 	}
@@ -173,19 +164,12 @@ func Encode(d *Dataset, opts EncodeOptions, seed int64) (*Dataset, *Key, error) 
 }
 
 // BuildKey runs the key-construction stages only (profile → choose →
-// draw → verify), without transforming any data. Pair it with
-// ApplyStream to encode data sets block-wise.
-func BuildKey(d *Dataset, opts EncodeOptions, seed int64) (*Key, error) {
-	return pipeline.BuildKey(d, opts, rand.New(rand.NewSource(seed)))
-}
-
-// BuildKeySharded is BuildKey over a sharded data set, without ever
-// materializing it: the profile stage streams each shard once and
-// merges per-shard statistics. The key is byte-identical to BuildKey
-// on the materialized data at the same seed, for any worker and shard
-// count.
-func BuildKeySharded(src *ShardedSource, opts EncodeOptions, seed int64) (*Key, error) {
-	return pipeline.BuildKeySharded(src, opts, rand.New(rand.NewSource(seed)))
+// draw → verify), without transforming any data. Over a ShardedSource
+// the profile streams each shard once and merges per-shard statistics,
+// never materializing the relation; the key is byte-identical to the
+// in-memory one at the same seed, for any worker and shard count.
+func BuildKey(rel Relation, opts EncodeOptions, seed int64) (*Key, error) {
+	return pipeline.BuildKey(rel, opts, rand.New(rand.NewSource(seed)))
 }
 
 // MarshalKey serializes a key to the versioned JSON wire format for
@@ -241,16 +225,15 @@ const (
 )
 
 // Mine builds a decision tree. Run it on D' at the mining service, or on
-// D directly for comparison.
-func Mine(d *Dataset, cfg TreeConfig) (*Tree, error) { return tree.Build(d, cfg) }
-
-// MineSharded is Mine over a sharded data set, without ever
-// materializing it: induction is level-synchronous, scanning each
-// shard once per tree level and reducing it to mergeable split-search
-// statistics. The mined tree is byte-identical to Mine on the
-// materialized data, at any shard and worker count.
-func MineSharded(src *ShardedSource, cfg TreeConfig) (*Tree, error) {
-	return tree.BuildSharded(src, cfg)
+// D directly for comparison. A Dataset is mined in memory over
+// presorted attribute lists; a ShardedSource level by level, scanning
+// each shard once per tree level, never materializing it. The tree is
+// byte-identical either way, at any shard and worker count.
+func Mine(rel Relation, cfg TreeConfig) (*Tree, error) {
+	if d, ok := rel.(*Dataset); ok {
+		return tree.Build(d, cfg)
+	}
+	return tree.BuildSharded(rel.(*ShardedSource), cfg)
 }
 
 // MarshalTree serializes a tree to JSON — the wire format the mining
@@ -306,20 +289,16 @@ func VerifyNoOutcomeChange(d *Dataset, cfg TreeConfig, opts EncodeOptions, seed 
 	if err := transform.VerifyClassStrings(d, enc, key); err != nil {
 		return fmt.Errorf("privtree: %w", err)
 	}
-	orig, err := Mine(d, cfg)
-	if err != nil {
-		return fmt.Errorf("privtree: mining original: %w", err)
-	}
-	mined, err := Mine(enc, cfg)
+	mined, err := tree.Build(enc, cfg)
 	if err != nil {
 		return fmt.Errorf("privtree: mining encoded: %w", err)
 	}
-	decoded, err := DecodeTree(mined, key, d)
+	_, diff, err := tree.DecodeAndCompare(mined, key, d, cfg)
 	if err != nil {
-		return fmt.Errorf("privtree: decode: %w", err)
+		return fmt.Errorf("privtree: %w", err)
 	}
-	if !SameOutcome(orig, decoded, d) {
-		return fmt.Errorf("privtree: decoded tree differs from direct mining")
+	if diff != "" {
+		return fmt.Errorf("privtree: decoded tree differs from direct mining at %s", diff)
 	}
 	return nil
 }

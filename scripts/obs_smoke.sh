@@ -77,7 +77,10 @@ done
 ./scripts/promlint.sh "$tmp/metrics.prom"
 
 curl -fsS "http://$addr/snapshot?format=prom" >/dev/null
-curl -fsS "http://$addr/snapshot?format=json" | grep -q '"build"' || {
+# To a file, not a pipe: grep -q exits at its first match, and curl
+# then fails writing the rest of a large snapshot.
+curl -fsS "http://$addr/snapshot?format=json" >"$tmp/snapshot.json"
+grep -q '"build"' "$tmp/snapshot.json" || {
   echo "obs_smoke: /snapshot?format=json missing build info" >&2
   exit 1
 }

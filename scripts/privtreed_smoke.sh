@@ -136,8 +136,12 @@ echo "privtreed_smoke: rate limiter answered 429 + Retry-After"
 # A fresh tenant is unaffected by the smoke tenant's empty bucket.
 curl -fsS "http://$addr/v1/tenants/fresh/keys" >/dev/null
 
-# /metrics carries the server counters next to the build info.
-curl -fsS "http://$addr/metrics" | grep -q 'privtree_server_requests_total' || {
+# /metrics carries the server counters next to the build info. The
+# page goes to a file first: piped into grep -q, curl fails writing the
+# rest of a page larger than the pipe buffer once grep exits at its
+# first match, and pipefail turns that into a failed check.
+curl -fsS "http://$addr/metrics" >"$tmp/metrics.prom"
+grep -q 'privtree_server_requests_total' "$tmp/metrics.prom" || {
   echo "privtreed_smoke: /metrics missing privtree_server_requests_total" >&2
   exit 1
 }
